@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .core import (
     raise_one,
 )
 from .rules import Correspondence, example_rule, pareto_mask
-from .axioms import AXIOMS, AxiomReport, Witness, check_axiom, replay_witness
+from .axioms import AXIOMS, AxiomReport, check_axiom, replay_witness, violation_mask
 
 # ---------------------------------------------------------------------------
 # Height
@@ -229,114 +229,24 @@ class Deviation:
                               name=f"deviation({self.profiles[0]})")
 
 
-def _proper_supersets(base: int, extra: int) -> Iterable[int]:
-    """Masks S with base <= S < base|extra, ascending (S != base|extra)."""
-    sub = 0
-    while True:
-        yield base | sub
-        if sub == extra:
-            return
-        sub = (sub - extra) & extra
+#: (profile, mask) cells the single-mode search enumerates at once; this
+#: bounds its working memory.
+_SEARCH_CELLS = 1 << 16
 
 
-def _local_check(d: DomainIndex, assign: Mapping[int, int], axioms: frozenset[str]) -> bool:
-    """Verify the axioms for pareto-with-overrides, checking only constraints
-    that touch an overridden profile.
+def _rejected(d: DomainIndex, axioms: frozenset[str], ks: np.ndarray, gu: np.ndarray,
+              value_at: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per row, whether pareto-with-overrides breaks an axiom at profile ``ks``
+    holding ``gu``, checking only the constraints that touch it.
 
-    Sound because the base rule satisfies every axiom: any constraint among
-    unmodified profiles holds already, so a violation must involve at least
-    one overridden profile, and every such constraint compares profiles at
-    most one move apart (or one permutation image apart).
+    Sound and complete because the base rule satisfies every axiom: a
+    violation must involve an overridden profile, and every constraint
+    touching one is a unary condition there or a move edge into or out of it.
     """
-    pv = d.pareto_table
-    tv = d.tops_table
-    full = d.universe.full_mask
-    places = d.places
-    swap = d.swap_table
-    orderings = d.orderings
-    relabel = d.adjacent_relabel_table if "neutrality" in axioms else None
-    relabel_masks = d.adjacent_relabel_masks if "neutrality" in axioms else None
-
-    def val(idx: int) -> int:
-        got = assign.get(idx)
-        return got if got is not None else int(pv[idx])
-
-    need_mono = "monotonicity" in axioms
-    need_weak = "weak-monotonicity" in axioms
-    need_stab = "strong-stability" in axioms
-
-    for k0, s0 in assign.items():
-        if "pareto" in axioms and s0 & (full ^ int(pv[k0])):
-            return False
-        if "tops-in" in axioms and int(tv[k0]) & (full ^ s0):
-            return False
-        digits = []
-        rest = k0
-        for _ in range(d.n):
-            rest, o = divmod(rest, d.order_count)
-            digits.append(o)
-        digits.reverse()
-        rs = [orderings[o] for o in digits]
-
-        if "balancedness" in axioms:
-            for i in range(d.n - 1):
-                ri, oi = rs[i], digits[i]
-                for j in range(i + 1, d.n):
-                    rj, oj = rs[j], digits[j]
-                    pos_j = {a: p for p, a in enumerate(rj)}
-                    for p in range(d.m - 1):
-                        x, y = ri[p], ri[p + 1]
-                        if pos_j[x] == pos_j[y] + 1:
-                            v = (k0 + (int(swap[oi, p]) - oi) * places[i]
-                                 + (int(swap[oj, pos_j[y]]) - oj) * places[j])
-                            if val(v) != s0:
-                                return False
-
-        if need_mono or need_weak or need_stab:
-            for i in range(d.n):
-                ri, oi = rs[i], digits[i]
-                for p in range(d.m - 1):
-                    q = k0 + (int(swap[oi, p]) - oi) * places[i]
-                    gq = val(q)
-                    upper, lower = ri[p], ri[p + 1]
-                    # raising `lower` at k0 gives q; raising `upper` at q gives k0
-                    if (need_mono or need_weak) and s0 >> lower & 1:
-                        if not gq >> lower & 1:
-                            return False
-                        if need_mono and gq & (full ^ s0):
-                            return False
-                    if (need_mono or need_weak) and gq >> upper & 1:
-                        if not s0 >> upper & 1:
-                            return False
-                        if need_mono and s0 & (full ^ gq):
-                            return False
-                    if need_stab:
-                        # lowering `upper` at k0 gives q
-                        if s0 >> upper & 1:
-                            ok = gq == s0 or gq == s0 & ~(1 << upper)
-                            ok = ok or (not s0 >> lower & 1 and gq == (s0 | 1 << lower))
-                            if not ok:
-                                return False
-                        # lowering `lower` at q gives k0 (at q they sit swapped)
-                        if gq >> lower & 1:
-                            ok = s0 == gq or s0 == gq & ~(1 << lower)
-                            ok = ok or (not gq >> upper & 1 and s0 == (gq | 1 << upper))
-                            if not ok:
-                                return False
-
-        if "anonymity" in axioms:
-            for g in range(d.n - 1):
-                v = (k0 + (digits[g + 1] - digits[g]) * places[g]
-                     + (digits[g] - digits[g + 1]) * places[g + 1])
-                if val(v) != s0:
-                    return False
-
-        if "neutrality" in axioms:
-            for g in range(d.m - 1):
-                v = sum(int(relabel[g, digits[i]]) * places[i] for i in range(d.n))
-                if val(v) != int(relabel_masks[g, s0]):
-                    return False
-    return True
+    out = np.zeros(len(ks), dtype=bool)
+    for axiom in axioms:
+        out |= violation_mask(d, axiom, ks, gu, value_at, both_ways=True)
+    return out
 
 
 def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "single",
@@ -362,74 +272,93 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     axiom_set = frozenset(axioms)
     pv = d.pareto_table
     tv = d.tops_table
+    found: list[Deviation] = []
 
-    actions = None
-    mask_maps = None
-    if mode == "orbit":
-        thetas = list(itertools.permutations(range(d.m)))
-        actions = {theta: d.relabel_action(theta) for theta in thetas}
-        mask_maps = {theta: [permute_mask(s, theta) for s in range(1 << d.m)]
-                     for theta in thetas}
-        rhos = list(itertools.permutations(range(d.n)))
+    if mode == "single":
+        # Candidates (k, S) as arrays, a batch of profiles at a time, rows
+        # ordered by k, then S.
+        masks = np.arange(1 << d.m, dtype=np.uint8)
+        step = max(1, _SEARCH_CELLS >> d.m)
+        left = budget
+        for lo in range(0, d.total, step):
+            hi = min(lo + step, d.total)
+            tops, pareto = tv[lo:hi, None], pv[lo:hi, None]
+            is_candidate = ((masks & ~pareto) == 0) & ((tops & ~masks) == 0) & (masks != pareto)
+            rows, cols = np.nonzero(is_candidate)
+            ks, sets = lo + rows[:left], masks[cols[:left]]
+            left -= len(ks)
+            rejected = _rejected(d, axiom_set, ks, sets,
+                                 lambda v: np.where(v == ks, sets, pv[v]))
+            for k, mask in zip(ks[~rejected].tolist(), sets[~rejected].tolist()):
+                found.append(Deviation(mode=mode, profiles=(d.profile_text(k),),
+                                       choice_sets=(d.universe.mask_labels(mask),)))
+            if left == 0:
+                break
+        return found
+
+    thetas = list(itertools.permutations(range(d.m)))
+    actions = {theta: d.relabel_action(theta) for theta in thetas}
+    mask_maps = {theta: [permute_mask(s, theta) for s in range(1 << d.m)]
+                 for theta in thetas}
+    rhos = list(itertools.permutations(range(d.n)))
 
     examined = 0
-    found: list[Deviation] = []
     for k in range(d.total):
         tops_k = int(tv[k])
         pareto_k = int(pv[k])
-        extra = pareto_k & ~tops_k
-        if extra == 0:
+        if pareto_k == tops_k:
             continue
 
-        entries = None
-        if mode == "orbit":
-            digits = []
-            rest = k
-            for _ in range(d.n):
-                rest, o = divmod(rest, d.order_count)
-                digits.append(o)
-            digits.reverse()
-            entries = []
-            smallest = k
-            for theta, act in actions.items():
-                mapped = [int(act[o]) for o in digits]
-                for rho in rhos:
-                    idx = 0
-                    for i in range(d.n):
-                        idx = idx * d.order_count + mapped[rho[i]]
-                    entries.append((idx, theta))
-                    if idx < smallest:
-                        smallest = idx
-            if smallest < k:  # a smaller orbit member already covered this orbit
-                continue
+        digits = []
+        rest = k
+        for _ in range(d.n):
+            rest, o = divmod(rest, d.order_count)
+            digits.append(o)
+        digits.reverse()
+        entries = []
+        smallest = k
+        for theta, act in actions.items():
+            mapped = [int(act[o]) for o in digits]
+            for rho in rhos:
+                idx = 0
+                for i in range(d.n):
+                    idx = idx * d.order_count + mapped[rho[i]]
+                entries.append((idx, theta))
+                if idx < smallest:
+                    smallest = idx
+        if smallest < k:  # a smaller orbit member already covered this orbit
+            continue
 
-        for s in _proper_supersets(tops_k, extra):
-            if s == pareto_k:
+        for s in range(tops_k, pareto_k):
+            if s & ~pareto_k or tops_k & ~s:
                 continue
             examined += 1
             if examined > budget:
                 return found
-            if mode == "single":
-                assign: dict[int, int] = {k: s}
-            else:
-                assign = {}
-                conflict = False
-                for idx, theta in entries:
-                    want = mask_maps[theta][s]
-                    seen = assign.get(idx)
-                    if seen is None:
-                        assign[idx] = want
-                    elif seen != want:
-                        conflict = True
-                        break
-                if conflict:
-                    continue
-            if _local_check(d, assign, axiom_set):
-                items = sorted(assign.items())
+            assign: dict[int, int] = {}
+            conflict = False
+            for idx, theta in entries:
+                want = mask_maps[theta][s]
+                seen = assign.get(idx)
+                if seen is None:
+                    assign[idx] = want
+                elif seen != want:
+                    conflict = True
+                    break
+            if conflict:
+                continue
+            keys = np.array(sorted(assign))
+            vals = np.array([assign[idx] for idx in keys.tolist()], dtype=np.uint8)
+
+            def patched(v: np.ndarray) -> np.ndarray:
+                at = np.minimum(np.searchsorted(keys, v), len(keys) - 1)
+                return np.where(keys[at] == v, vals[at], pv[v])
+
+            if not _rejected(d, axiom_set, keys, vals, patched).any():
                 found.append(Deviation(
                     mode=mode,
-                    profiles=tuple(d.profile_text(idx) for idx, _ in items),
-                    choice_sets=tuple(d.universe.mask_labels(mask) for _, mask in items),
+                    profiles=tuple(d.profile_text(idx) for idx in keys.tolist()),
+                    choice_sets=tuple(d.universe.mask_labels(mask) for mask in vals.tolist()),
                 ))
     return found
 

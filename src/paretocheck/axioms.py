@@ -6,10 +6,16 @@ minimal witness.  Canonical means the violation at the smallest profile
 index, breaking ties by smallest individual and then smallest alternative
 indices; the same witness is produced for any worker count.
 
-The sweep itself runs on vectorized kernels over a rule's whole-domain value
-table; the witness is then rebuilt at the single offending profile with the
-plain object-level operations, which keeps the two layers honest about what
-a violation is.
+The sweep runs on one edge layer over a rule's whole-domain value table.
+Each move axiom is a move generator plus an elementwise predicate on the
+choice sets at the two ends of a move.  There are four generators: the
+one-individual adjacent swap (monotonicity, weak monotonicity and strong
+stability), the two-individual transposition (balancedness), the swap of
+two individuals (anonymity) and the swap of two labels (neutrality).  The
+perturbation search runs the same predicates, both ways, on the profiles it
+overrides.  The witness is then rebuilt at the single offending profile with
+the plain object-level ``_violation_*`` functions, an independent oracle
+that keeps the two layers honest about what a violation is.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,158 +110,169 @@ class AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sweep kernels.  Each kernel reports the smallest profile index
-# in [lo, hi) at which its axiom is violated, or -1.
+# Edge layer.  Every axiom but pareto and tops-in relates two profiles one move
+# apart.  A move generator takes an array ``ks`` of profile indices u and
+# yields, one move at a time, ``(ok, v, a, b)``: ``v`` holds the target
+# indices, ``ok`` masks the rows where the move exists (None: all rows), and
+# ``a`` sits immediately above ``b`` at u for the individual(s) that move (the
+# symmetry moves give the two swapped individuals or labels).  Each family is an
+# involution taking the edge (u, v, a, b) to (v, u, b, a).  An axiom is one
+# generator plus an elementwise predicate ``bad(gu, gv, a, b)``.
 
 
-def _first(mask: np.ndarray, lo: int) -> int:
-    idx = int(mask.argmax())
-    return lo + idx if mask[idx] else -1
+def _by_rank(d: DomainIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Ordering and swap tables with one contiguous row per rank, as
+    ``at[p][o]`` gathers faster than ``table[o, p]``."""
+    return (np.ascontiguousarray(d.ordering_table.T).view(np.uint8),
+            np.ascontiguousarray(d.swap_table.T))
 
 
-def _kernel_pareto(d: DomainIndex, values: np.ndarray, lo: int, hi: int) -> int:
-    full = np.uint8(d.universe.full_mask)
-    dominated = full ^ d.pareto_table[lo:hi]
-    return _first((values[lo:hi] & dominated) != 0, lo)
+def _adjacent_swaps(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
+    """One individual swaps the alternatives at ranks p and p+1."""
+    at, swp = _by_rank(d)
+    for i in range(d.n):
+        oi = d.digit(i, ks)
+        for p in range(d.m - 1):
+            yield None, ks + (swp[p][oi] - oi) * d.places[i], at[p][oi], at[p + 1][oi]
 
 
-def _kernel_tops_in(d: DomainIndex, values: np.ndarray, lo: int, hi: int) -> int:
-    full = np.uint8(d.universe.full_mask)
-    missing = d.tops_table[lo:hi] & (full ^ values[lo:hi])
-    return _first(missing != 0, lo)
-
-
-def _kernel_balancedness(d: DomainIndex, values: np.ndarray, lo: int, hi: int) -> int:
-    ks = np.arange(lo, hi)
-    gu = values[lo:hi]
-    viol = np.zeros(hi - lo, dtype=bool)
+def _transpositions(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
+    """Individuals i < j swap an adjacent pair they rank in opposite orders."""
     digits = [d.digit(i, ks) for i in range(d.n)]
-    tbl, pos, swp = d.ordering_table, d.rank_table, d.swap_table
+    at, swp = _by_rank(d)
+    pos = d.rank_table
     for i in range(d.n - 1):
         oi = digits[i]
         for j in range(i + 1, d.n):
             oj = digits[j]
             for p in range(d.m - 1):
-                x = tbl[oi, p]
-                y = tbl[oi, p + 1]
+                x = at[p][oi]
+                y = at[p + 1][oi]
                 pjy = pos[oj, y]
                 ok = pos[oj, x] == pjy + 1  # y immediately above x for j
                 if not ok.any():
                     continue
                 pjy_safe = np.where(ok, pjy, 0)
                 v = (ks
-                     + (swp[oi, p] - oi) * d.places[i]
-                     + (swp[oj, pjy_safe] - oj) * d.places[j])
-                viol |= ok & (values[v] != gu)
-    return _first(viol, lo)
+                     + (swp[p][oi] - oi) * d.places[i]
+                     + (d.swap_table[oj, pjy_safe] - oj) * d.places[j])
+                yield ok, v, x, y
 
 
-def _kernel_monotonicity(d: DomainIndex, values: np.ndarray, lo: int, hi: int,
-                         *, weak: bool) -> int:
-    ks = np.arange(lo, hi)
-    gu = values[lo:hi]
-    viol = np.zeros(hi - lo, dtype=bool)
-    tbl, swp = d.ordering_table, d.swap_table
-    not_gu = np.uint8(d.universe.full_mask) ^ gu
-    for i in range(d.n):
-        oi = d.digit(i, ks)
-        for p in range(1, d.m):
-            x = tbl[oi, p].astype(np.uint8)
-            chosen = ((gu >> x) & 1).astype(bool)
-            if not chosen.any():
-                continue
-            v = ks + (swp[oi, p - 1] - oi) * d.places[i]
-            gv = values[v]
-            bad = chosen & ~((gv >> x) & 1).astype(bool)
-            if not weak:
-                bad |= chosen & ((gv & not_gu) != 0)
-            viol |= bad
-    return _first(viol, lo)
-
-
-def _kernel_strong_stability(d: DomainIndex, values: np.ndarray, lo: int, hi: int) -> int:
-    ks = np.arange(lo, hi)
-    gu = values[lo:hi]
-    viol = np.zeros(hi - lo, dtype=bool)
-    tbl, swp = d.ordering_table, d.swap_table
-    one = np.uint8(1)
-    for i in range(d.n):
-        oi = d.digit(i, ks)
-        for p in range(d.m - 1):
-            x = tbl[oi, p].astype(np.uint8)
-            chosen = ((gu >> x) & 1).astype(bool)
-            if not chosen.any():
-                continue
-            y = tbl[oi, p + 1].astype(np.uint8)
-            v = ks + (swp[oi, p] - oi) * d.places[i]
-            gv = values[v]
-            bx = one << x
-            by = one << y
-            allowed = (gv == gu) | (gv == (gu & ~bx))
-            allowed |= ((gu & by) == 0) & (gv == (gu | by))
-            viol |= chosen & ~allowed
-    return _first(viol, lo)
-
-
-def _kernel_anonymity(d: DomainIndex, values: np.ndarray, lo: int, hi: int) -> int:
-    ks = np.arange(lo, hi)
-    gu = values[lo:hi]
-    viol = np.zeros(hi - lo, dtype=bool)
+def _individual_swaps(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
+    """Individuals g and g+1 exchange orderings."""
     digits = [d.digit(i, ks) for i in range(d.n)]
     for g in range(d.n - 1):
         oa, ob = digits[g], digits[g + 1]
-        v = ks + (ob - oa) * d.places[g] + (oa - ob) * d.places[g + 1]
-        viol |= values[v] != gu
-    return _first(viol, lo)
+        yield None, ks + (ob - oa) * d.places[g] + (oa - ob) * d.places[g + 1], g, g + 1
 
 
-def _kernel_neutrality(d: DomainIndex, values: np.ndarray, lo: int, hi: int) -> int:
-    ks = np.arange(lo, hi)
-    gu = values[lo:hi]
-    viol = np.zeros(hi - lo, dtype=bool)
+def _adjacent_relabels(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
+    """Alternatives g and g+1 exchange labels in every ordering."""
     digits = [d.digit(i, ks) for i in range(d.n)]
     relabel = d.adjacent_relabel_table
-    masks = d.adjacent_relabel_masks
     for g in range(d.m - 1):
-        v = np.zeros(hi - lo, dtype=np.int64)
+        v = np.zeros(len(ks), dtype=np.int64)
         for i in range(d.n):
             v += relabel[g, digits[i]].astype(np.int64) * d.places[i]
-        viol |= values[v] != masks[g, gu]
-    return _first(viol, lo)
+        yield None, v, g, g + 1
 
 
-_Kernel = Callable[[DomainIndex, np.ndarray, int, int], int]
+def _has(s: np.ndarray, x) -> np.ndarray:
+    return ((s >> x) & 1).astype(bool)
 
-_KERNELS: dict[str, _Kernel] = {
-    "pareto": _kernel_pareto,
-    "tops-in": _kernel_tops_in,
-    "balancedness": _kernel_balancedness,
-    "monotonicity": lambda d, v, lo, hi: _kernel_monotonicity(d, v, lo, hi, weak=False),
-    "weak-monotonicity": lambda d, v, lo, hi: _kernel_monotonicity(d, v, lo, hi, weak=True),
-    "strong-stability": _kernel_strong_stability,
-    "anonymity": _kernel_anonymity,
-    "neutrality": _kernel_neutrality,
+
+def _raise_breaks_monotonicity(gu, gv, a, b):
+    """Raising b at u gives v: b must stay chosen and nothing may be added."""
+    return _has(gu, b) & (~_has(gv, b) | ((gv & ~gu) != 0))
+
+
+def _raise_drops(gu, gv, a, b):
+    """Raising b at u gives v: b must stay chosen."""
+    return _has(gu, b) & ~_has(gv, b)
+
+
+def _lower_unstable(gu, gv, a, b):
+    """Lowering a at u gives v: the choice set may only stay, drop a, or,
+    when b was unchosen, gain b."""
+    one = np.uint8(1)
+    allowed = (gv == gu) | (gv == (gu & ~(one << a)))
+    allowed |= ~_has(gu, b) & (gv == (gu | (one << b)))
+    return _has(gu, a) & ~allowed
+
+
+def _relabel_mismatch(gu, gv, a, b):
+    """Swapping labels a and b at u gives v: the choice set follows."""
+    flip = ((gu >> a) ^ (gu >> b)) & 1
+    return gv != gu ^ ((flip << a) | (flip << b))
+
+
+def _changed(gu, gv, a, b):
+    return gv != gu
+
+
+_EDGES: dict[str, tuple[Callable, Callable]] = {
+    "balancedness": (_transpositions, _changed),
+    "monotonicity": (_adjacent_swaps, _raise_breaks_monotonicity),
+    "weak-monotonicity": (_adjacent_swaps, _raise_drops),
+    "strong-stability": (_adjacent_swaps, _lower_unstable),
+    "anonymity": (_individual_swaps, _changed),
+    "neutrality": (_adjacent_relabels, _relabel_mismatch),
 }
 
 
-def _scan_domain(d: DomainIndex, values: np.ndarray, kernel: _Kernel, workers: int) -> int:
+def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
+                   value_at: Callable[[np.ndarray], np.ndarray], *,
+                   both_ways: bool = False) -> np.ndarray:
+    """Per row of ``ks`` (choice sets ``gu``), whether ``axiom`` is violated
+    there; ``value_at`` gives the choice sets at move targets.
+
+    Forward, a row is flagged when a constraint from u to a neighbour fails.
+    ``both_ways`` also flags constraints from a neighbour back to u, which,
+    as every move family is an involution, are all constraints touching u.
+    """
+    if axiom == "pareto":
+        return (gu & ~d.pareto_table[ks]) != 0
+    if axiom == "tops-in":
+        return (d.tops_table[ks] & ~gu) != 0
+    moves, bad = _EDGES[axiom]
+    viol = np.zeros(len(ks), dtype=bool)
+    for ok, v, a, b in moves(d, ks):
+        gv = value_at(v)
+        hit = bad(gu, gv, a, b)
+        if both_ways:
+            hit |= bad(gv, gu, b, a)
+        if ok is not None:
+            hit &= ok
+        viol |= hit
+        del ok, v, a, b, gv, hit  # hold none of them while the next move is built
+    return viol
+
+
+def _scan_domain(d: DomainIndex, values: np.ndarray, axiom: str, workers: int) -> int:
     """Smallest violating profile index over the whole domain, or -1.
 
     Chunks are swept in ascending order; with several workers they run in
     fixed waves and the wave minimum is taken, so the result (and everything
     derived from it) is identical for any worker count.
     """
+    def first_hit(chunk: tuple[int, int]) -> int:
+        lo, hi = chunk
+        viol = violation_mask(d, axiom, np.arange(lo, hi), values[lo:hi], values.__getitem__)
+        idx = int(viol.argmax())
+        return lo + idx if viol[idx] else -1
+
     chunks = list(index_chunks(d.total))
     if workers <= 1:
-        for lo, hi in chunks:
-            hit = kernel(d, values, lo, hi)
+        for chunk in chunks:
+            hit = first_hit(chunk)
             if hit >= 0:
                 return hit
         return -1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for wave_start in range(0, len(chunks), workers):
-            wave = chunks[wave_start:wave_start + workers]
-            hits = [h for h in pool.map(lambda c: kernel(d, values, *c), wave) if h >= 0]
+            hits = [h for h in pool.map(first_hit, chunks[wave_start:wave_start + workers])
+                    if h >= 0]
             if hits:
                 return min(hits)
     return -1
@@ -425,10 +442,10 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
     On failure ``profiles_scanned`` counts the profiles confirmed up to and
     including the witness; on a pass it is the domain size.
     """
-    if axiom not in _KERNELS:
+    if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r} (choose from {', '.join(AXIOMS)})")
     values = G.value_table(d)
-    hit = _scan_domain(d, values, _KERNELS[axiom], workers)
+    hit = _scan_domain(d, values, axiom, workers)
     if hit < 0:
         return AxiomReport(axiom, "pass", None, d.total)
     witness = _VIOLATIONS[axiom](G, d, d.profile(hit))
@@ -497,18 +514,6 @@ def check_neutrality(G: Correspondence, d: DomainIndex, *, workers: int = 1,
     if not exhaustive:
         return check_axiom("neutrality", G, d, workers=workers)
     return _check_neutrality_exhaustive(G, d)
-
-
-_CHECKERS: dict[str, Callable[..., AxiomReport]] = {
-    "pareto": check_pareto_condition,
-    "tops-in": check_tops_in,
-    "balancedness": check_balancedness,
-    "monotonicity": check_monotonicity,
-    "weak-monotonicity": check_weak_monotonicity,
-    "strong-stability": check_strong_stability,
-    "anonymity": check_anonymity,
-    "neutrality": check_neutrality,
-}
 
 
 def check_axioms(G: Correspondence, d: DomainIndex, axioms: Sequence[str] = AXIOMS,
@@ -682,7 +687,10 @@ def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bo
     if axiom in ("monotonicity", "weak-monotonicity"):
         x = uni.index(w.alternatives[0])
         i = w.individuals[0] - 1
-        if raise_one(u, i, x) != v or not gu >> x & 1:
+        raised = [u]  # v is x raised t >= 1 ranks (t > 1 from the multi-step check)
+        while raised[-1].orderings[i][0] != x:
+            raised.append(raise_one(raised[-1], i, x))
+        if v not in raised[1:] or not gu >> x & 1:
             return False
         ok = bool(gv >> x & 1) and (axiom == "weak-monotonicity" or (gv & ~gu) == 0)
         return not ok

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -415,8 +415,9 @@ def enumerate_orderings(m: int) -> tuple[Ordering, ...]:
 _CHUNK = 1 << 18
 
 
-def index_chunks(total: int, size: int = _CHUNK) -> Iterator[tuple[int, int]]:
-    """Split ``range(total)`` into contiguous chunks for sweeping."""
+def index_chunks(total: int) -> Iterator[tuple[int, int]]:
+    """Split ``range(total)`` into contiguous chunks of ``_CHUNK`` for sweeping."""
+    size = _CHUNK
     for lo in range(0, total, size):
         yield lo, min(lo + size, total)
 
@@ -584,36 +585,53 @@ class DomainIndex:
 
     # -- whole-domain tables -------------------------------------------------
 
+    def tabulate(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """(total,) uint8 table of ``f(ks)`` over every profile index, filled
+        chunk by chunk so no whole-domain index array is ever held.
+
+        Raises ValueError when the domain is too large to tabulate: its
+        profile count does not fit in int64, or the table cannot be allocated.
+        """
+        too_big = (f"the ({self.m},{self.n}) domain has {self.total} profiles; "
+                   f"a whole-domain table needs {self.total} bytes")
+        if self.total > np.iinfo(np.int64).max:
+            raise ValueError(too_big + ", and profile indices overflow int64")
+        try:
+            out = np.empty(self.total, dtype=np.uint8)
+        except MemoryError:
+            raise ValueError(too_big + ", more than can be allocated") from None
+        for lo, hi in index_chunks(self.total):
+            out[lo:hi] = f(np.arange(lo, hi))
+        return out
+
     @cached_property
     def pareto_table(self) -> np.ndarray:
         """(total,) uint8: mask of undominated alternatives at every profile."""
-        out = np.empty(self.total, dtype=np.uint8)
         above = self.above_table
         full = np.uint8(self.universe.full_mask)
-        for lo, hi in index_chunks(self.total):
-            ks = np.arange(lo, hi)
+
+        def undominated(ks: np.ndarray) -> np.ndarray:
             digits = [self.digit(i, ks) for i in range(self.n)]
-            dominated = np.zeros(hi - lo, dtype=np.uint8)
+            dominated = np.zeros(len(ks), dtype=np.uint8)
             for x in range(self.m):
                 common = above[digits[0], x]
                 for i in range(1, self.n):
                     common = common & above[digits[i], x]
                 dominated |= (common != 0).astype(np.uint8) << np.uint8(x)
-            out[lo:hi] = full ^ dominated
-        return out
+            return full ^ dominated
+        return self.tabulate(undominated)
 
     @cached_property
     def tops_table(self) -> np.ndarray:
         """(total,) uint8: mask of top-ranked alternatives at every profile."""
-        out = np.empty(self.total, dtype=np.uint8)
         top = self.top_table
-        for lo, hi in index_chunks(self.total):
-            ks = np.arange(lo, hi)
-            acc = np.zeros(hi - lo, dtype=np.uint8)
+
+        def tops(ks: np.ndarray) -> np.ndarray:
+            acc = np.zeros(len(ks), dtype=np.uint8)
             for i in range(self.n):
                 acc |= np.uint8(1) << top[self.digit(i, ks)].astype(np.uint8)
-            out[lo:hi] = acc
-        return out
+            return acc
+        return self.tabulate(tops)
 
 
 def index_profile(d: DomainIndex, k: int) -> Profile:

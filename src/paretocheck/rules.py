@@ -26,7 +26,6 @@ from .core import (
     Universe,
     apply_alternative_permutation,
     apply_individual_permutation,
-    index_chunks,
     parse_profile,
     permute_mask,
 )
@@ -190,16 +189,13 @@ def _table_pareto(d: DomainIndex) -> np.ndarray:
 
 
 def _table_all(d: DomainIndex) -> np.ndarray:
-    return np.full(d.total, d.universe.full_mask, dtype=np.uint8)
+    full = np.uint8(d.universe.full_mask)
+    return d.tabulate(lambda ks: np.full(len(ks), full, dtype=np.uint8))
 
 
 def _table_dictator(d: DomainIndex, i: int) -> np.ndarray:
-    out = np.empty(d.total, dtype=np.uint8)
     top = d.top_table
-    for lo, hi in index_chunks(d.total):
-        ks = np.arange(lo, hi)
-        out[lo:hi] = np.uint8(1) << top[d.digit(i, ks)].astype(np.uint8)
-    return out
+    return d.tabulate(lambda ks: np.uint8(1) << top[d.digit(i, ks)].astype(np.uint8))
 
 
 def _scores_to_mask(scores: np.ndarray) -> np.ndarray:
@@ -213,43 +209,40 @@ def _scores_to_mask(scores: np.ndarray) -> np.ndarray:
 
 def _table_borda(d: DomainIndex) -> np.ndarray:
     per_order = (d.m - 1 - d.rank_table).astype(np.int32)  # (m!, m)
-    out = np.empty(d.total, dtype=np.uint8)
-    for lo, hi in index_chunks(d.total):
-        ks = np.arange(lo, hi)
+
+    def winners(ks: np.ndarray) -> np.ndarray:
         scores = per_order[d.digit(0, ks)].copy()
         for i in range(1, d.n):
             scores += per_order[d.digit(i, ks)]
-        out[lo:hi] = _scores_to_mask(scores)
-    return out
+        return _scores_to_mask(scores)
+    return d.tabulate(winners)
 
 
 def _table_plurality(d: DomainIndex) -> np.ndarray:
     top = d.top_table
-    out = np.empty(d.total, dtype=np.uint8)
-    for lo, hi in index_chunks(d.total):
-        ks = np.arange(lo, hi)
-        counts = np.zeros((hi - lo, d.m), dtype=np.int32)
-        rows = np.arange(hi - lo)
+
+    def winners(ks: np.ndarray) -> np.ndarray:
+        counts = np.zeros((len(ks), d.m), dtype=np.int32)
+        rows = np.arange(len(ks))
         for i in range(d.n):
             counts[rows, top[d.digit(i, ks)]] += 1
-        out[lo:hi] = _scores_to_mask(counts)
-    return out
+        return _scores_to_mask(counts)
+    return d.tabulate(winners)
 
 
 def _table_copeland(d: DomainIndex) -> np.ndarray:
     # prefer[o, x, y] = 1 iff x ranks above y in ordering o
     rank = d.rank_table
     prefer = (rank[:, :, None] < rank[:, None, :]).astype(np.int8)
-    out = np.empty(d.total, dtype=np.uint8)
-    for lo, hi in index_chunks(d.total):
-        ks = np.arange(lo, hi)
+
+    def winners(ks: np.ndarray) -> np.ndarray:
         counts = prefer[d.digit(0, ks)].astype(np.int16)
         for i in range(1, d.n):
             counts += prefer[d.digit(i, ks)]
         beats = (2 * counts > d.n)
         scores = beats.sum(axis=2, dtype=np.int16) - beats.sum(axis=1, dtype=np.int16)
-        out[lo:hi] = _scores_to_mask(scores)
-    return out
+        return _scores_to_mask(scores)
+    return d.tabulate(winners)
 
 
 def _table_drop_one(d: DomainIndex, t: int) -> np.ndarray:

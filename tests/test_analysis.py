@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
 from paretocheck import (
     AXIOMS,
     DomainIndex,
+    apply_alternative_permutation,
+    apply_individual_permutation,
     THEOREM_AXIOMS,
     check_axiom,
     example_rule,
@@ -21,10 +25,12 @@ from paretocheck import (
 )
 from paretocheck.analysis import (
     CONSISTENT_COUNTEREXAMPLE,
+    Deviation,
     CONSISTENT_EQUAL,
     THEOREM_CONTRADICTION,
 )
-from paretocheck.rules import Correspondence
+from paretocheck.core import permute_mask
+from paretocheck.rules import Correspondence, pareto_mask, tops_mask
 
 CATALOG = ("pareto", "tops", "borda", "plurality", "copeland", "dictator:1", "all")
 
@@ -201,6 +207,54 @@ def test_search_results_pass_full_domain_recheck(d43, d52):
     G = orbit[0].to_correspondence(d52)
     for axiom in ("pareto", "tops-in", "balancedness", "weak-monotonicity"):
         assert check_axiom(axiom, G, d52).passed, axiom
+
+
+def _search_candidates(d, mode):
+    """Every override table the search considers, in its order, built from
+    object-level moves: one profile (single) or a whole symmetry orbit
+    (orbit) with its choice set relabeled, tops <= S < pareto at the base."""
+    thetas = list(itertools.permutations(range(d.m)))
+    rhos = list(itertools.permutations(range(d.n)))
+    covered = set()
+    for k in range(d.total):
+        u = d.profile(k)
+        if k in covered:
+            continue
+        if mode == "single":
+            images = [(u, tuple(range(d.m)))]
+        else:
+            images = [(apply_individual_permutation(apply_alternative_permutation(u, theta), rho),
+                       theta) for theta in thetas for rho in rhos]
+            covered.update(d.index(v) for v, _ in images)
+        pk, tk = pareto_mask(u), tops_mask(u)
+        for s in range(1, pk):
+            if s & ~pk or tk & ~s:
+                continue
+            table = {}
+            if all(table.setdefault(v.orderings, permute_mask(s, theta)) == permute_mask(s, theta)
+                   for v, theta in images):
+                yield table
+
+
+@pytest.mark.parametrize("mode", ["single", "orbit"])
+def test_search_is_exact_at_4_2(d42, mode):
+    # accepted deviations == every candidate that passes the full-domain sweeps
+    moves = AXIOMS[2:]
+    expected = {x: [] for x in moves}
+    for table in _search_candidates(d42, mode):
+        G = Correspondence(d42.universe, d42.n, overrides=table)
+        if not all(check_axiom(a, G, d42).passed for a in ("pareto", "tops-in")):
+            continue
+        items = sorted((d42.index_orderings(key), mask) for key, mask in table.items())
+        dev = Deviation(mode, tuple(d42.profile_text(k) for k, _ in items),
+                        tuple(d42.universe.mask_labels(mask) for _, mask in items))
+        for x in moves:
+            if check_axiom(x, G, d42).passed:
+                expected[x].append(dev)
+    for x in moves:
+        got = perturbation_search(d42, ("pareto", "tops-in", x), mode=mode)
+        assert got == expected[x], (mode, x)
+    assert any(expected.values()) and not all(expected.values())
 
 
 def test_search_deviations_never_contradict_theorems(d43):

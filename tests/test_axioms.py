@@ -25,6 +25,7 @@ from paretocheck import (
     raise_one,
     replay_witness,
 )
+from paretocheck import core
 from paretocheck.rules import Correspondence
 
 CATALOG_33 = ("pareto", "tops", "borda", "plurality", "copeland", "dictator:1", "all")
@@ -224,6 +225,21 @@ def test_fast_checkers_match_reference_on_table_rules(d33xyz):
         assert check_axiom(axiom, G, d33xyz) == check_axiom_reference(axiom, G, d33xyz)
 
 
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("sizes", [(3, 2), (3, 3), (4, 2)])
+def test_multi_chunk_waves_match_reference(sizes, chunk, monkeypatch, random_table):
+    # small chunks put many chunks and several worker waves in one sweep
+    d = DomainIndex(*sizes)
+    rules = [make_rule("pareto", *sizes)] + [random_table(d, seed) for seed in range(6)]
+    want = {(G.name, a): check_axiom_reference(a, G, d) for G in rules for a in AXIOMS}
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    for workers in (1, 2, 3):
+        for G in rules:
+            for axiom in AXIOMS:
+                got = check_axiom(axiom, G, d, workers=workers)
+                assert got == want[G.name, axiom], (sizes, chunk, workers, G.name, axiom)
+
+
 # -- generator versus exhaustive permutation checks ---------------------------
 
 
@@ -271,6 +287,19 @@ def test_single_step_monotonicity_agrees_with_multistep(name, d32):
 def test_multistep_detects_example_5_failure(d43xyzw):
     G = example_rule(5)
     assert not check_monotonicity(G, d43xyzw, multi_step=True).passed
+
+
+def test_multistep_witnesses_replay(d32, random_table):
+    # a multi-step witness may raise its alternative more than one rank
+    # (e.g. abc|cab -> cab|cab raises c two ranks)
+    failing = 0
+    for seed in range(300):
+        G = random_table(d32, seed)
+        rep = check_monotonicity(G, d32, multi_step=True)
+        if not rep.passed:
+            failing += 1
+            assert replay_witness(G, d32, rep), (seed, rep.summary())
+    assert failing
 
 
 # -- locality of single-profile deviations ------------------------------------

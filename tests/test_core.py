@@ -12,10 +12,12 @@ from paretocheck import (
     apply_alternative_permutation,
     apply_individual_permutation,
     apply_transposition,
+    check_axiom,
     enumerate_orderings,
     index_profile,
     lower_one,
     lower_to_just_below,
+    make_rule,
     pareto_dominates,
     parse_profile,
     profile_index,
@@ -107,6 +109,19 @@ def test_domain_size_caps():
         DomainIndex(3, 7)
     d = DomainIndex(3, 7, max_individuals=7)  # cap is overridable
     assert d.total == 6 ** 7
+
+
+def test_whole_domain_table_rejects_index_overflow():
+    # 40320**5 profiles: the indices themselves do not fit in int64
+    with pytest.raises(ValueError, match=rf"\(8,5\) domain has {40320 ** 5} profiles.*int64"):
+        DomainIndex(8, 5).pareto_table
+
+
+def test_whole_domain_table_rejects_unallocatable_size():
+    # 5040**3 profiles fit in int64, but the 128 GB table cannot be allocated
+    with pytest.raises(ValueError, match=r"\(7,3\) domain has 128024064000 profiles.*"
+                                         r"needs 128024064000 bytes"):
+        check_axiom("tops-in", make_rule("tops", 7, 3), DomainIndex(7, 3))
 
 
 # -- ranks and dominance -----------------------------------------------------
