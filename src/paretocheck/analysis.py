@@ -229,9 +229,26 @@ class Deviation:
                               name=f"deviation({self.profiles[0]})")
 
 
-#: (profile, mask) cells the single-mode search enumerates at once; this
-#: bounds its working memory.
+#: Cells per search batch.  A batch takes ``_SEARCH_CELLS // max(group size,
+#: 2**m)`` profiles, so its (group x profile) images and its (profile x mask)
+#: candidate grid each stay within this many cells; this bounds the search's
+#: working memory.
 _SEARCH_CELLS = 1 << 16
+
+
+def _symmetry_group(d: DomainIndex, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The search's symmetry group: the identity in single mode, every
+    relabeling theta of the alternatives with every permutation rho of the
+    individuals in orbit mode.  Returns the thetas' actions on orderings
+    (thetas x m!) and on choice-set masks (thetas x 2**m), and the rhos."""
+    thetas = list(itertools.permutations(range(d.m)))
+    rhos = list(itertools.permutations(range(d.n)))
+    if mode == "single":  # the identity, which permutations() yields first
+        thetas, rhos = thetas[:1], rhos[:1]
+    on_orderings = np.array([d.relabel_action(theta) for theta in thetas], dtype=np.int64)
+    on_masks = np.array([[permute_mask(s, theta) for s in range(1 << d.m)] for theta in thetas],
+                        dtype=np.uint8)
+    return on_orderings, on_masks, np.array(rhos)
 
 
 def _rejected(d: DomainIndex, axioms: frozenset[str], ks: np.ndarray, gu: np.ndarray,
@@ -254,13 +271,18 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     """Search for table correspondences that differ from the undominated-set
     rule yet satisfy every requested axiom.
 
-    Candidates assign, to one base profile, a choice set S strictly between
-    the union of tops and the undominated set; in orbit mode the same set is
-    carried (relabeled) across the base profile's full symmetry orbit.
-    Enumeration is ascending in profile index, then in candidate mask, and
-    stops after ``budget`` candidates have been examined, so results are
-    deterministic.  Emptiness within budget is evidence at this scale, not a
-    proof.
+    A candidate is a base profile and a choice set S with tops ⊆ S ⊊ pareto
+    there, whatever axioms are asked for.  It overrides the base profile's
+    whole orbit under a symmetry group, each image taking S relabeled: the
+    group is the identity alone in single mode (the orbit is the base
+    profile) and every relabeling of the alternatives combined with every
+    permutation of the individuals in orbit mode.  A base is the smallest
+    profile index of its orbit.  A candidate whose S is not well defined on
+    the orbit (some group element fixes the base but moves S) is never
+    accepted.  Candidates are ordered by base, then by S, and the budget
+    counts every candidate examined, orbit-inconsistent ones included; the
+    search stops after ``budget`` of them, so results are deterministic.
+    Emptiness within budget is evidence at this scale, not a proof.
     """
     bad = frozenset(axioms) - set(AXIOMS)
     if bad:
@@ -272,94 +294,53 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     axiom_set = frozenset(axioms)
     pv = d.pareto_table
     tv = d.tops_table
+    on_orderings, on_masks, rhos = _symmetry_group(d, mode)
+    group_size = len(on_orderings) * len(rhos)
+    theta_of = np.repeat(np.arange(len(on_orderings)), len(rhos))[:, None]
+    masks = np.arange(1 << d.m, dtype=np.uint8)
+    live = np.flatnonzero(pv != tv)  # profiles with a candidate
+    step = max(1, _SEARCH_CELLS // max(group_size, 1 << d.m))
     found: list[Deviation] = []
+    left = budget
+    for start in range(0, len(live), step):
+        ks = live[start:start + step]
+        # (group x batch) images: individual i of (theta, rho)u holds u(rho[i]) relabeled
+        relabeled = on_orderings[:, np.stack([d.digit(i, ks) for i in range(d.n)])]
+        images = sum(relabeled[:, rhos[:, i]] * d.places[i] for i in range(d.n))
+        images = images.reshape(group_size, len(ks))
+        bases = np.flatnonzero(images.min(axis=0) == ks)
+        tops, pareto = tv[ks[bases], None], pv[ks[bases], None]
+        is_candidate = ((masks & ~pareto) == 0) & ((tops & ~masks) == 0) & (masks != pareto)
+        rows, bits = np.nonzero(is_candidate)
+        cols, sets = bases[rows[:left]], masks[bits[:left]]
+        left -= len(cols)
+        # S is well defined on the orbit iff every element fixing the base fixes S
+        image_sets = on_masks[theta_of, sets]
+        fixes = images[:, cols] == ks[cols]
+        consistent = ~(fixes & (image_sets != sets)).any(axis=0)
+        # One override row per (candidate, orbit member), tagged and sorted
+        tags = np.arange(len(cols)) * d.total + images[:, cols]
+        tags, first = np.unique(tags[:, consistent], return_index=True)
+        vals = image_sets[:, consistent].ravel()[first]
+        cand, ov = np.divmod(tags, d.total)
 
-    if mode == "single":
-        # Candidates (k, S) as arrays, a batch of profiles at a time, rows
-        # ordered by k, then S.
-        masks = np.arange(1 << d.m, dtype=np.uint8)
-        step = max(1, _SEARCH_CELLS >> d.m)
-        left = budget
-        for lo in range(0, d.total, step):
-            hi = min(lo + step, d.total)
-            tops, pareto = tv[lo:hi, None], pv[lo:hi, None]
-            is_candidate = ((masks & ~pareto) == 0) & ((tops & ~masks) == 0) & (masks != pareto)
-            rows, cols = np.nonzero(is_candidate)
-            ks, sets = lo + rows[:left], masks[cols[:left]]
-            left -= len(ks)
-            rejected = _rejected(d, axiom_set, ks, sets,
-                                 lambda v: np.where(v == ks, sets, pv[v]))
-            for k, mask in zip(ks[~rejected].tolist(), sets[~rejected].tolist()):
-                found.append(Deviation(mode=mode, profiles=(d.profile_text(k),),
-                                       choice_sets=(d.universe.mask_labels(mask),)))
-            if left == 0:
-                break
-        return found
+        def value_at(v: np.ndarray) -> np.ndarray:
+            key = cand * d.total + v
+            at = np.minimum(np.searchsorted(tags, key), len(tags) - 1)
+            return np.where(tags[at] == key, vals[at], pv[v])
 
-    thetas = list(itertools.permutations(range(d.m)))
-    actions = {theta: d.relabel_action(theta) for theta in thetas}
-    mask_maps = {theta: [permute_mask(s, theta) for s in range(1 << d.m)]
-                 for theta in thetas}
-    rhos = list(itertools.permutations(range(d.n)))
-
-    examined = 0
-    for k in range(d.total):
-        tops_k = int(tv[k])
-        pareto_k = int(pv[k])
-        if pareto_k == tops_k:
-            continue
-
-        digits = []
-        rest = k
-        for _ in range(d.n):
-            rest, o = divmod(rest, d.order_count)
-            digits.append(o)
-        digits.reverse()
-        entries = []
-        smallest = k
-        for theta, act in actions.items():
-            mapped = [int(act[o]) for o in digits]
-            for rho in rhos:
-                idx = 0
-                for i in range(d.n):
-                    idx = idx * d.order_count + mapped[rho[i]]
-                entries.append((idx, theta))
-                if idx < smallest:
-                    smallest = idx
-        if smallest < k:  # a smaller orbit member already covered this orbit
-            continue
-
-        for s in range(tops_k, pareto_k):
-            if s & ~pareto_k or tops_k & ~s:
-                continue
-            examined += 1
-            if examined > budget:
-                return found
-            assign: dict[int, int] = {}
-            conflict = False
-            for idx, theta in entries:
-                want = mask_maps[theta][s]
-                seen = assign.get(idx)
-                if seen is None:
-                    assign[idx] = want
-                elif seen != want:
-                    conflict = True
-                    break
-            if conflict:
-                continue
-            keys = np.array(sorted(assign))
-            vals = np.array([assign[idx] for idx in keys.tolist()], dtype=np.uint8)
-
-            def patched(v: np.ndarray) -> np.ndarray:
-                at = np.minimum(np.searchsorted(keys, v), len(keys) - 1)
-                return np.where(keys[at] == v, vals[at], pv[v])
-
-            if not _rejected(d, axiom_set, keys, vals, patched).any():
-                found.append(Deviation(
-                    mode=mode,
-                    profiles=tuple(d.profile_text(idx) for idx in keys.tolist()),
-                    choice_sets=tuple(d.universe.mask_labels(mask) for mask in vals.tolist()),
-                ))
+        rejected = _rejected(d, axiom_set, ov, vals, value_at)
+        accepted = consistent & (np.bincount(cand, rejected, minlength=len(cols)) == 0)
+        picks = np.flatnonzero(accepted)
+        for lo, hi in zip(np.searchsorted(cand, picks).tolist(),
+                          np.searchsorted(cand, picks + 1).tolist()):
+            found.append(Deviation(
+                mode=mode,
+                profiles=tuple(d.profile_text(k) for k in ov[lo:hi].tolist()),
+                choice_sets=tuple(d.universe.mask_labels(s) for s in vals[lo:hi].tolist()),
+            ))
+        if left == 0:
+            break
     return found
 
 

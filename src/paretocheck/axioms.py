@@ -649,11 +649,14 @@ def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bo
     """Re-check a failure report against the correspondence from scratch.
 
     Reparses the recorded profiles, rebuilds the recorded move, and confirms
-    both the observed choice sets and the violation itself.
+    both the observed choice sets and the violation itself.  A witness whose
+    move does not exist at its first profile does not replay.
     """
     w = report.witness
     if report.passed or w is None:
         return report.passed and w is None
+    if not all(1 <= i <= d.n for i in w.individuals):
+        return False
     uni = d.universe
     u = parse_profile(w.profiles[0], uni)
     gu = G.choose_mask(u)
@@ -681,7 +684,10 @@ def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bo
 
         x, y = (uni.index(a) for a in w.alternatives)
         i, j = (k - 1 for k in w.individuals)
-        moved = apply_transposition(u, TranspositionSite(x, y, i, j))
+        try:
+            moved = apply_transposition(u, TranspositionSite(x, y, i, j))
+        except ValueError:  # no such transposition at u
+            return False
         return moved == v and gv != gu
 
     if axiom in ("monotonicity", "weak-monotonicity"):
@@ -699,7 +705,8 @@ def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bo
         x, y = (uni.index(a) for a in w.alternatives)
         i = w.individuals[0] - 1
         r = u.orderings[i]
-        if not gu >> x & 1 or r[r.index(x) + 1] != y or lower_one(u, i, x) != v:
+        p = r.index(x)
+        if not gu >> x & 1 or p == d.m - 1 or r[p + 1] != y or lower_one(u, i, x) != v:
             return False
         allowed = {gu}
         if gu & ~(1 << x):
@@ -715,7 +722,8 @@ def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bo
             rho[a], rho[b] = rho[b], rho[a]
         else:
             rho = [k - 1 for k in w.individuals]
-        return apply_individual_permutation(u, rho) == v and gv != gu
+        return (sorted(rho) == list(range(d.n))
+                and apply_individual_permutation(u, rho) == v and gv != gu)
 
     if axiom == "neutrality":
         if len(w.alternatives) == 2:
@@ -724,7 +732,8 @@ def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bo
             theta[a], theta[b] = theta[b], theta[a]
         else:
             theta = [uni.index(c) for c in w.alternatives]
-        return (apply_alternative_permutation(u, theta) == v
+        return (sorted(theta) == list(range(d.m))
+                and apply_alternative_permutation(u, theta) == v
                 and gv != permute_mask(gu, theta))
 
     raise ValueError(f"unknown axiom {axiom!r}")

@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axioms", required=True)
     p.add_argument("--mode", choices=("single", "orbit"), default="single")
     p.add_argument("--budget", type=int, default=1_000_000)
-    _add_common(p)
+    _add_common(p, workers=False)
 
     return parser
 
@@ -243,8 +243,6 @@ def _cmd_theorem(args) -> int:
 def _cmd_search(args) -> int:
     axioms = _parse_axioms(args.axioms)
     _guard_domain(args.m, args.n, args.max_domain)
-    if args.budget <= 0:
-        raise ConfigError(f"budget must be positive, got {args.budget}")
     d = DomainIndex(args.m, args.n)
     deviations = perturbation_search(d, axioms, mode=args.mode, budget=args.budget)
     payload = {

@@ -509,14 +509,9 @@ class DomainIndex:
     @cached_property
     def adjacent_relabel_table(self) -> np.ndarray:
         """(m-1, m!) int32: ordering index after relabeling a <-> a+1."""
-        index = self._ordering_index
-        out = np.empty((self.m - 1, self.order_count), dtype=np.int32)
-        for g in range(self.m - 1):
-            theta = list(range(self.m))
-            theta[g], theta[g + 1] = theta[g + 1], theta[g]
-            for o, r in enumerate(self.orderings):
-                out[g, o] = index[tuple(theta[a] for a in r)]
-        return out
+        identity = tuple(range(self.m))
+        return np.stack([self.relabel_action(_swap_adjacent(identity, g))
+                         for g in range(self.m - 1)])
 
     @cached_property
     def adjacent_relabel_masks(self) -> np.ndarray:

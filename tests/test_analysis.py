@@ -176,8 +176,8 @@ def test_search_empty_with_monotonicity_at_m4(d42, d43):
 
 
 def test_search_orbit_finds_the_anchored_pair_at_5_2(d52):
-    devs = perturbation_search(
-        d52, ("pareto", "tops-in", "balancedness", "weak-monotonicity"), mode="orbit")
+    axioms = ("pareto", "tops-in", "balancedness", "weak-monotonicity")
+    devs = perturbation_search(d52, axioms, mode="orbit")
     assert len(devs) == 1
     (dev,) = devs
     assert dev.mode == "orbit"
@@ -185,6 +185,10 @@ def test_search_orbit_finds_the_anchored_pair_at_5_2(d52):
     assert pair["abdce|cedab"] == ("a", "c")
     assert pair["cedab|abdce"] == ("a", "c")
     assert len(dev.profiles) == 120
+    # it is the 28th candidate: the budget also counts the two candidates
+    # before it whose choice set is not well defined on their orbit
+    assert perturbation_search(d52, axioms, mode="orbit", budget=28) == devs
+    assert perturbation_search(d52, axioms, mode="orbit", budget=27) == []
 
 
 def test_search_orbit_empty_with_strong_stability_at_5_2(d52):
@@ -212,7 +216,9 @@ def test_search_results_pass_full_domain_recheck(d43, d52):
 def _search_candidates(d, mode):
     """Every override table the search considers, in its order, built from
     object-level moves: one profile (single) or a whole symmetry orbit
-    (orbit) with its choice set relabeled, tops <= S < pareto at the base."""
+    (orbit) with its choice set relabeled, tops <= S < pareto at the base.
+    A candidate whose choice set is not well defined on its orbit yields
+    None: the search counts it toward the budget but never accepts it."""
     thetas = list(itertools.permutations(range(d.m)))
     rhos = list(itertools.permutations(range(d.n)))
     covered = set()
@@ -234,26 +240,39 @@ def _search_candidates(d, mode):
             if all(table.setdefault(v.orderings, permute_mask(s, theta)) == permute_mask(s, theta)
                    for v, theta in images):
                 yield table
+            else:
+                yield None
 
 
-@pytest.mark.parametrize("mode", ["single", "orbit"])
-def test_search_is_exact_at_4_2(d42, mode):
-    # accepted deviations == every candidate that passes the full-domain sweeps
+@pytest.mark.parametrize("mode, sizes", [
+    pytest.param("single", (4, 2), id="single"),
+    pytest.param("orbit", (4, 2), id="orbit"),
+    pytest.param("single", (3, 3), id="single-3x3"),
+    pytest.param("orbit", (3, 3), id="orbit-3x3"),
+])
+def test_search_is_exact_at_4_2(mode, sizes):
+    # accepted deviations == every candidate that passes the full-domain
+    # sweeps, and a budget b keeps exactly those among the first b candidates
+    d = DomainIndex(*sizes)
     moves = AXIOMS[2:]
-    expected = {x: [] for x in moves}
-    for table in _search_candidates(d42, mode):
-        G = Correspondence(d42.universe, d42.n, overrides=table)
-        if not all(check_axiom(a, G, d42).passed for a in ("pareto", "tops-in")):
+    candidates = list(_search_candidates(d, mode))
+    expected = {x: [] for x in moves}  # (candidate position, deviation)
+    for pos, table in enumerate(candidates):
+        if table is None:
             continue
-        items = sorted((d42.index_orderings(key), mask) for key, mask in table.items())
-        dev = Deviation(mode, tuple(d42.profile_text(k) for k, _ in items),
-                        tuple(d42.universe.mask_labels(mask) for _, mask in items))
+        G = Correspondence(d.universe, d.n, overrides=table)
+        if not all(check_axiom(a, G, d).passed for a in ("pareto", "tops-in")):
+            continue
+        items = sorted((d.index_orderings(key), mask) for key, mask in table.items())
+        dev = Deviation(mode, tuple(d.profile_text(k) for k, _ in items),
+                        tuple(d.universe.mask_labels(mask) for _, mask in items))
         for x in moves:
-            if check_axiom(x, G, d42).passed:
-                expected[x].append(dev)
+            if check_axiom(x, G, d).passed:
+                expected[x].append((pos, dev))
     for x in moves:
-        got = perturbation_search(d42, ("pareto", "tops-in", x), mode=mode)
-        assert got == expected[x], (mode, x)
+        for budget in (1, 3, max(1, len(candidates) // 2), 10**6):
+            got = perturbation_search(d, ("pareto", "tops-in", x), mode=mode, budget=budget)
+            assert got == [dev for pos, dev in expected[x] if pos < budget], (mode, x, budget)
     assert any(expected.values()) and not all(expected.values())
 
 

@@ -207,6 +207,35 @@ def test_replay_rejects_tampered_witness(d33):
     assert not replay_witness(make_rule("borda", 3, 3), d33, bad)
 
 
+def test_replay_rejects_moves_that_do_not_exist(d33):
+    # a tampered witness whose recorded move is impossible at its profile
+    # does not replay, and replaying it raises nothing
+    from dataclasses import replace
+
+    def tampered(rule, axiom, **fields):
+        G = make_rule(rule, 3, 3)
+        rep = check_axiom(axiom, G, d33)
+        assert replay_witness(G, d33, rep)
+        return G, replace(rep, witness=replace(rep.witness, **fields))
+
+    bal = check_axiom("balancedness", make_rule("tops", 3, 3), d33).witness
+    ss = check_axiom("strong-stability", make_rule("tops", 3, 3), d33).witness
+    assert bal.individuals == (1, 3) and ss.profiles[0] == "abc|abc|bca"
+    assert ss.individuals == (3,)  # whose last-ranked alternative is a
+    cases = [
+        tampered("tops", "balancedness", alternatives=bal.alternatives[::-1]),
+        tampered("tops", "balancedness", individuals=(1, 1)),
+        tampered("tops", "strong-stability", alternatives=("a", ss.alternatives[1])),
+        tampered("dictator:1", "tops-in", individuals=(4,)),
+        tampered("dictator:1", "anonymity", individuals=(1, 1, 2)),
+    ]
+    G, anon = cases[-1]
+    cases.append((G, replace(anon, axiom="neutrality", witness=replace(
+        anon.witness, individuals=(), alternatives=("a", "a", "b")))))
+    for G, rep in cases:
+        assert not replay_witness(G, d33, rep), rep.witness
+
+
 # -- fast sweep versus reference loop ----------------------------------------
 
 
