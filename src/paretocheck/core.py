@@ -79,10 +79,10 @@ class Universe:
         return (1 << self.m) - 1
 
     def index(self, label: str) -> int:
-        pos = self.labels.find(label)
-        if pos < 0:
+        """Index of a single-character label; anything else raises ValueError."""
+        if len(label) != 1 or label not in self.labels:
             raise ValueError(f"unknown alternative {label!r} (universe {self.labels!r})")
-        return pos
+        return self.labels.index(label)
 
     def label(self, x: int) -> str:
         return self.labels[x]

@@ -5,6 +5,7 @@ import pytest
 from paretocheck import (
     AXIOMS,
     DomainIndex,
+    Witness,
     check_anonymity,
     check_axiom,
     check_axiom_reference,
@@ -232,8 +233,55 @@ def test_replay_rejects_moves_that_do_not_exist(d33):
     G, anon = cases[-1]
     cases.append((G, replace(anon, axiom="neutrality", witness=replace(
         anon.witness, individuals=(), alternatives=("a", "a", "b")))))
+    # fields of the wrong arity, or naming no alternative
+    cases += [
+        tampered("borda", "tops-in", individuals=()),
+        tampered("borda", "tops-in", alternatives=()),
+        tampered("all", "pareto", alternatives=("a", "b", "c")),
+        tampered("all", "pareto", alternatives=("", "b")),
+    ]
     for G, rep in cases:
         assert not replay_witness(G, d33, rep), rep.witness
+
+
+def test_oracle_witnesses_are_pinned(d33, d32, d43xyzw, d52paper, random_table):
+    # every field of each checker's witness, written out literally
+    def w(profiles, individuals, alternatives, observed, expected):
+        return Witness(profiles, individuals, alternatives, observed, expected)
+
+    dictator, ex5, ex8 = make_rule("dictator:1", 3, 3), example_rule(5), example_rule(8)
+    got = [
+        check_axiom("pareto", make_rule("all", 3, 3), d33),
+        check_axiom("tops-in", make_rule("borda", 3, 3), d33),
+        check_axiom("balancedness", make_rule("tops", 3, 3), d33),
+        check_axiom("strong-stability", make_rule("tops", 3, 3), d33),
+        check_anonymity(dictator, d33),
+        check_anonymity(dictator, d33, exhaustive=True),
+        check_monotonicity(ex5, d43xyzw),
+        check_monotonicity(ex5, d43xyzw, multi_step=True),
+        check_neutrality(ex8, d52paper),
+        check_neutrality(ex8, d52paper, exhaustive=True),
+        check_axiom("weak-monotonicity", random_table(d32, 0), d32),
+    ]
+    mono5 = w(("xyzw|yxwz|zwxy", "xyzw|ywxz|zwxy"), (2,), ("w",), ("xyzw", "xyz"),
+              "a subset of xyzw containing w")
+    want = [
+        w(("abc|abc|abc",), (), ("a", "b"), ("abc",), "a choice set excluding b"),
+        w(("abc|abc|bac",), (3,), ("b",), ("a",), "a choice set containing b"),
+        w(("abc|abc|cba", "bac|abc|cab"), (1, 3), ("a", "b"), ("ac", "abc"),
+          "the unchanged choice set ac"),
+        w(("abc|abc|bca", "abc|abc|cba"), (3,), ("b", "c"), ("ab", "ac"), "one of: ab, a, abc"),
+        w(("abc|bac|abc", "bac|abc|abc"), (1, 2), (), ("a", "b"), "the unchanged choice set a"),
+        w(("abc|abc|bac", "bac|abc|abc"), (3, 1, 2), (), ("a", "b"), "the unchanged choice set a"),
+        mono5,
+        mono5,
+        w(("xyzwt|wtzxy", "xywzt|ztwxy"), (), ("z", "w"), ("xzw", "xz"),
+          "the relabeled choice set xzw"),
+        w(("xyzwt|wtzxy", "xywzt|ztwxy"), (), ("x", "y", "w", "z", "t"), ("xzw", "xz"),
+          "the relabeled choice set xzw"),
+        w(("bca|bca", "bac|bca"), (1,), ("a",), ("abc", "b"), "a choice set containing a"),
+    ]
+    assert [rep.witness for rep in got] == want
 
 
 # -- fast sweep versus reference loop ----------------------------------------

@@ -376,6 +376,14 @@ def test_parse_against_fixed_universe():
     assert u.universe is uni and u.n == 2
 
 
+def test_universe_index_takes_exactly_one_label():
+    uni = Universe("abc")
+    assert [uni.index(c) for c in "abc"] == [0, 1, 2]
+    for label in ("", "bc", "ab", "d"):
+        with pytest.raises(ValueError):
+            uni.index(label)
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_profile("xyz|xy", None)
