@@ -252,7 +252,7 @@ def _symmetry_group(d: DomainIndex, mode: str) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _rejected(d: DomainIndex, axioms: frozenset[str], ks: np.ndarray, gu: np.ndarray,
-              value_at: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+              value_at: Callable[[np.ndarray | None, np.ndarray], np.ndarray]) -> np.ndarray:
     """Per row, whether pareto-with-overrides breaks an axiom at profile ``ks``
     holding ``gu``, checking only the constraints that touch it.
 
@@ -324,8 +324,8 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
         vals = image_sets[:, consistent].ravel()[first]
         cand, ov = np.divmod(tags, d.total)
 
-        def value_at(v: np.ndarray) -> np.ndarray:
-            key = cand * d.total + v
+        def value_at(rows: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+            key = (cand if rows is None else cand[rows]) * d.total + v
             at = np.minimum(np.searchsorted(tags, key), len(tags) - 1)
             return np.where(tags[at] == key, vals[at], pv[v])
 

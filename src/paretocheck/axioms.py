@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .core import (
     apply_transposition,
     index_chunks,
     lower_one,
-    parse_profile,
     pareto_dominates,
     permute_mask,
     raise_one,
@@ -119,12 +118,12 @@ class AxiomReport:
 # ---------------------------------------------------------------------------
 # Edge layer.  Every axiom but pareto and tops-in relates two profiles one move
 # apart.  A move generator takes an array ``ks`` of profile indices u and
-# yields, one move at a time, ``(ok, v, a, b)``: ``v`` holds the target
-# indices, ``ok`` masks the rows where the move exists (None: all rows), and
-# ``a`` sits immediately above ``b`` at u for the individual(s) that move (the
-# symmetry moves give the two swapped individuals or labels).  Each family is an
-# involution taking the edge (u, v, a, b) to (v, u, b, a).  An axiom is one
-# generator plus an elementwise predicate ``bad(gu, gv, a, b)``.
+# yields, one move at a time, ``(rows, v, a, b)``: ``rows`` indexes the rows of
+# ``ks`` where the move exists (None: all rows), ``v`` holds their target
+# indices, and ``a`` sits immediately above ``b`` at u for the individual(s)
+# that move (the symmetry moves give the two swapped individuals or labels).
+# Each family is an involution taking the edge (u, v, a, b) to (v, u, b, a).
+# An axiom is one generator plus an elementwise predicate ``bad(gu, gv, a, b)``.
 
 
 def _by_rank(d: DomainIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -144,26 +143,37 @@ def _adjacent_swaps(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
 
 
 def _transpositions(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
-    """Individuals i < j swap an adjacent pair they rank in opposite orders."""
+    """Individuals i < j swap an adjacent pair they rank in opposite orders.
+
+    The pair (x above y) is coded x*m+y, below 64 as m <= 8, and each ordering
+    keeps the set of its reversed adjacent pairs as one mask of m*m bits, so
+    the rows where i's ranks p and p+1 are reversed for j come from one AND.
+    """
     digits = [d.digit(i, ks) for i in range(d.n)]
     at, swp = _by_rank(d)
-    pos = d.rank_table
+    m = d.m
+    wide = at.astype(np.min_scalar_type((1 << m * m) - 1))
+    one = wide.dtype.type(1)
+    bit = [one << (wide[p] * m + wide[p + 1]) for p in range(m - 1)]
+    reversed_pairs = reduce(np.bitwise_or, (one << (wide[p + 1] * m + wide[p])
+                                            for p in range(m - 1)))
+    reversed_at = {j: reversed_pairs[digits[j]] for j in range(1, d.n)}
+    rank, swap = d.rank_table.ravel(), d.swap_table.ravel()
     for i in range(d.n - 1):
         oi = digits[i]
-        for j in range(i + 1, d.n):
-            oj = digits[j]
-            for p in range(d.m - 1):
-                x = at[p][oi]
-                y = at[p + 1][oi]
-                pjy = pos[oj, y]
-                ok = pos[oj, x] == pjy + 1  # y immediately above x for j
-                if not ok.any():
+        for p in range(m - 1):
+            pair = bit[p][oi]
+            for j in range(i + 1, d.n):
+                rows = np.flatnonzero(pair & reversed_at[j])
+                if not len(rows):
                     continue
-                pjy_safe = np.where(ok, pjy, 0)
-                v = (ks
-                     + (swp[p][oi] - oi) * d.places[i]
-                     + (d.swap_table[oj, pjy_safe] - oj) * d.places[j])
-                yield ok, v, x, y
+                ri, rj = oi[rows], digits[j][rows]
+                x, y = at[p][ri], at[p + 1][ri]
+                q = rank[rj * m + y]  # y's rank for j, with x just below it
+                v = (ks[rows]
+                     + (swp[p][ri] - ri) * d.places[i]
+                     + (swap[rj * (m - 1) + q] - rj) * d.places[j])
+                yield rows, v, x, y
 
 
 def _individual_swaps(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
@@ -229,10 +239,11 @@ _EDGES: dict[str, tuple[Callable, Callable]] = {
 
 
 def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
-                   value_at: Callable[[np.ndarray], np.ndarray], *,
+                   value_at: Callable[[np.ndarray | None, np.ndarray], np.ndarray], *,
                    both_ways: bool = False) -> np.ndarray:
     """Per row of ``ks`` (choice sets ``gu``), whether ``axiom`` is violated
-    there; ``value_at`` gives the choice sets at move targets.
+    there; ``value_at(rows, v)`` gives the choice sets at the targets ``v`` of
+    the moves out of those rows of ``ks`` (None: every row).
 
     Forward, a row is flagged when a constraint from u to a neighbour fails.
     ``both_ways`` also flags constraints from a neighbour back to u, which,
@@ -244,15 +255,17 @@ def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
         return (d.tops_table[ks] & ~gu) != 0
     moves, bad = _EDGES[axiom]
     viol = np.zeros(len(ks), dtype=bool)
-    for ok, v, a, b in moves(d, ks):
-        gv = value_at(v)
-        hit = bad(gu, gv, a, b)
+    for rows, v, a, b in moves(d, ks):
+        g = gu if rows is None else gu[rows]
+        gv = value_at(rows, v)
+        hit = bad(g, gv, a, b)
         if both_ways:
-            hit |= bad(gv, gu, b, a)
-        if ok is not None:
-            hit &= ok
-        viol |= hit
-        del ok, v, a, b, gv, hit  # hold none of them while the next move is built
+            hit |= bad(gv, g, b, a)
+        if rows is None:
+            viol |= hit
+        else:
+            viol[rows] |= hit
+        del rows, v, a, b, g, gv, hit  # hold none of them while the next move is built
     return viol
 
 
@@ -265,7 +278,8 @@ def _scan_domain(d: DomainIndex, values: np.ndarray, axiom: str, workers: int) -
     """
     def first_hit(chunk: tuple[int, int]) -> int:
         lo, hi = chunk
-        viol = violation_mask(d, axiom, np.arange(lo, hi), values[lo:hi], values.__getitem__)
+        viol = violation_mask(d, axiom, np.arange(lo, hi), values[lo:hi],
+                              lambda rows, v: values[v])
         idx = int(viol.argmax())
         return lo + idx if viol[idx] else -1
 
@@ -605,12 +619,16 @@ def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bo
     reference listing), and accepts the witness only when it is one of them,
     observed and expected fields included.  So a witness replays when some
     checker in this package records it.  A rewritten witness does not, such
-    as a swap pair in reverse order or a move that does not exist.
+    as a swap pair in reverse order, a move that does not exist, or a first
+    profile that is missing or not one of the domain's.
     """
     w = report.witness
     if report.passed or w is None:
         return report.passed and w is None
     if report.axiom not in _ORACLE:
         raise ValueError(f"unknown axiom {report.axiom!r}")
-    u = parse_profile(w.profiles[0], d.universe)
+    try:
+        u = d.parse(w.profiles[0])
+    except (IndexError, ValueError):  # no profile, or not one of this domain's
+        return False
     return any(w in _violations(report.axiom, G, d, u, wide=wide) for wide in (False, True))

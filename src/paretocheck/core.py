@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -580,9 +580,18 @@ class DomainIndex:
 
     # -- whole-domain tables -------------------------------------------------
 
-    def tabulate(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """(total,) uint8 table of ``f(ks)`` over every profile index, filled
-        chunk by chunk so no whole-domain index array is ever held.
+    def tabulate(self, f: Callable[[Callable[..., np.ndarray]], np.ndarray]) -> np.ndarray:
+        """(total,) uint8 whole-domain table, built as folds over the digit grid.
+
+        A profile index is a base-m! number, so the domain is the grid
+        ``(m!,) * n`` with individual 1 on the first axis.  The table is filled
+        one block at a time, each block a run of values of the leading digits
+        covering about ``_CHUNK`` profiles.  ``f(fold)`` returns a block's masks
+        (any array broadcasting to the block); ``fold(op, column, individuals)``
+        reduces, with the ufunc ``op``, the per-ordering ``column`` of each
+        individual in ``individuals`` (all by default), each broadcast along
+        its individual's axis.  So no profile index or digit is computed for
+        the trailing axes, and nothing is gathered per profile.
 
         Raises ValueError when the domain is too large to tabulate: its
         profile count does not fit in int64, or the table cannot be allocated.
@@ -595,38 +604,47 @@ class DomainIndex:
             out = np.empty(self.total, dtype=np.uint8)
         except MemoryError:
             raise ValueError(too_big + ", more than can be allocated") from None
-        for lo, hi in index_chunks(self.total):
-            out[lo:hi] = f(np.arange(lo, hi))
+        count, n = self.order_count, self.n
+        lead, size = n, 1  # leading digits per block, profiles per leading value
+        while lead and size * count <= _CHUNK:
+            lead, size = lead - 1, size * count
+        tail = (count,) * (n - lead)
+        leads, step = count ** lead, max(1, _CHUNK // size)
+        for lo in range(0, leads, step):
+            values = np.arange(lo, min(lo + step, leads))
+            digits = [values // count ** (lead - 1 - i) % count for i in range(lead)]
+
+            def on_axis(i: int, column: np.ndarray) -> np.ndarray:
+                if i < lead:
+                    return column[digits[i]].reshape((-1,) + (1,) * len(tail))
+                return column.reshape((1,) * (1 + i - lead) + (count,) + (1,) * (n - 1 - i))
+
+            def fold(op: np.ufunc, column: np.ndarray,
+                     individuals: Sequence[int] = range(n)) -> np.ndarray:
+                return reduce(op, (on_axis(i, column) for i in individuals))
+
+            block = out[lo * size:(lo + len(values)) * size]
+            block.reshape((len(values),) + tail)[...] = f(fold)
         return out
 
     @cached_property
     def pareto_table(self) -> np.ndarray:
         """(total,) uint8: mask of undominated alternatives at every profile."""
-        above = self.above_table
-        full = np.uint8(self.universe.full_mask)
+        above = self.above_table.astype(np.uint8)  # m <= 8, so a mask fits
 
-        def undominated(ks: np.ndarray) -> np.ndarray:
-            digits = [self.digit(i, ks) for i in range(self.n)]
-            dominated = np.zeros(len(ks), dtype=np.uint8)
+        def undominated(fold: Callable[..., np.ndarray]) -> np.ndarray:
+            mask = np.uint8(self.universe.full_mask)
             for x in range(self.m):
-                common = above[digits[0], x]
-                for i in range(1, self.n):
-                    common = common & above[digits[i], x]
-                dominated |= (common != 0).astype(np.uint8) << np.uint8(x)
-            return full ^ dominated
+                dominated = fold(np.bitwise_and, above[:, x]) != 0
+                mask = mask ^ (dominated.view(np.uint8) << np.uint8(x))
+            return mask
         return self.tabulate(undominated)
 
     @cached_property
     def tops_table(self) -> np.ndarray:
         """(total,) uint8: mask of top-ranked alternatives at every profile."""
-        top = self.top_table
-
-        def tops(ks: np.ndarray) -> np.ndarray:
-            acc = np.zeros(len(ks), dtype=np.uint8)
-            for i in range(self.n):
-                acc |= np.uint8(1) << top[self.digit(i, ks)].astype(np.uint8)
-            return acc
-        return self.tabulate(tops)
+        bits = np.uint8(1) << self.top_table.astype(np.uint8)
+        return self.tabulate(lambda fold: fold(np.bitwise_or, bits))
 
 
 def index_profile(d: DomainIndex, k: int) -> Profile:

@@ -14,6 +14,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -190,59 +191,48 @@ def _table_pareto(d: DomainIndex) -> np.ndarray:
 
 def _table_all(d: DomainIndex) -> np.ndarray:
     full = np.uint8(d.universe.full_mask)
-    return d.tabulate(lambda ks: np.full(len(ks), full, dtype=np.uint8))
+    return d.tabulate(lambda fold: full)
 
 
 def _table_dictator(d: DomainIndex, i: int) -> np.ndarray:
-    top = d.top_table
-    return d.tabulate(lambda ks: np.uint8(1) << top[d.digit(i, ks)].astype(np.uint8))
+    bits = np.uint8(1) << d.top_table.astype(np.uint8)
+    return d.tabulate(lambda fold: fold(np.bitwise_or, bits, (i,)))
 
 
-def _scores_to_mask(scores: np.ndarray) -> np.ndarray:
-    best = scores.max(axis=1, keepdims=True)
-    hits = scores == best
-    mask = np.zeros(scores.shape[0], dtype=np.uint8)
-    for x in range(scores.shape[1]):
-        mask |= hits[:, x].astype(np.uint8) << np.uint8(x)
+def _maximizers(scores: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the alternatives whose score is largest; ``scores[x]`` holds
+    alternative x's."""
+    best = reduce(np.maximum, scores)
+    mask = np.uint8(0)
+    for x, s in enumerate(scores):
+        mask = mask | ((s == best).view(np.uint8) << np.uint8(x))
     return mask
 
 
 def _table_borda(d: DomainIndex) -> np.ndarray:
-    per_order = (d.m - 1 - d.rank_table).astype(np.int32)  # (m!, m)
-
-    def winners(ks: np.ndarray) -> np.ndarray:
-        scores = per_order[d.digit(0, ks)].copy()
-        for i in range(1, d.n):
-            scores += per_order[d.digit(i, ks)]
-        return _scores_to_mask(scores)
-    return d.tabulate(winners)
+    points = (d.m - 1 - d.rank_table).astype(np.int16)  # (m!, m)
+    return d.tabulate(lambda fold: _maximizers(
+        [fold(np.add, points[:, x]) for x in range(d.m)]))
 
 
 def _table_plurality(d: DomainIndex) -> np.ndarray:
     top = d.top_table
-
-    def winners(ks: np.ndarray) -> np.ndarray:
-        counts = np.zeros((len(ks), d.m), dtype=np.int32)
-        rows = np.arange(len(ks))
-        for i in range(d.n):
-            counts[rows, top[d.digit(i, ks)]] += 1
-        return _scores_to_mask(counts)
-    return d.tabulate(winners)
+    return d.tabulate(lambda fold: _maximizers(
+        [fold(np.add, (top == x).astype(np.int16)) for x in range(d.m)]))
 
 
 def _table_copeland(d: DomainIndex) -> np.ndarray:
-    # prefer[o, x, y] = 1 iff x ranks above y in ordering o
     rank = d.rank_table
-    prefer = (rank[:, :, None] < rank[:, None, :]).astype(np.int8)
 
-    def winners(ks: np.ndarray) -> np.ndarray:
-        counts = prefer[d.digit(0, ks)].astype(np.int16)
-        for i in range(1, d.n):
-            counts += prefer[d.digit(i, ks)]
-        beats = (2 * counts > d.n)
-        scores = beats.sum(axis=2, dtype=np.int16) - beats.sum(axis=1, dtype=np.int16)
-        return _scores_to_mask(scores)
-    return d.tabulate(winners)
+    def scores(fold: Callable[..., np.ndarray]) -> np.ndarray:
+        net: list = [0] * d.m
+        for x, y in itertools.combinations(range(d.m), 2):
+            ahead = fold(np.add, (rank[:, x] < rank[:, y]).astype(np.int16))
+            margin = np.sign(2 * ahead - d.n)  # +1: x beats y, -1: y beats x
+            net[x] = net[x] + margin
+            net[y] = net[y] - margin
+        return _maximizers(net)
+    return d.tabulate(scores)
 
 
 def _table_drop_one(d: DomainIndex, t: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from paretocheck import (
@@ -27,6 +28,7 @@ from paretocheck import (
     replay_witness,
 )
 from paretocheck import core
+from paretocheck.axioms import _sites_transpositions, _transpositions
 from paretocheck.rules import Correspondence
 
 CATALOG_33 = ("pareto", "tops", "borda", "plurality", "copeland", "dictator:1", "all")
@@ -244,6 +246,18 @@ def test_replay_rejects_moves_that_do_not_exist(d33):
         assert not replay_witness(G, d33, rep), rep.witness
 
 
+def test_replay_rejects_profiles_outside_the_domain(d33):
+    # a first profile that does not parse, has another number of individuals,
+    # or is missing
+    from dataclasses import replace
+
+    G = make_rule("borda", 3, 3)
+    rep = check_tops_in(G, d33)
+    for profiles in (("abc|abd|abc",), ("abc|abc",), ()):
+        bad = replace(rep, witness=replace(rep.witness, profiles=profiles))
+        assert not replay_witness(G, d33, bad), profiles
+
+
 def test_oracle_witnesses_are_pinned(d33, d32, d43xyzw, d52paper, random_table):
     # every field of each checker's witness, written out literally
     def w(profiles, individuals, alternatives, observed, expected):
@@ -315,6 +329,19 @@ def test_multi_chunk_waves_match_reference(sizes, chunk, monkeypatch, random_tab
             for axiom in AXIOMS:
                 got = check_axiom(axiom, G, d, workers=workers)
                 assert got == want[G.name, axiom], (sizes, chunk, workers, G.name, axiom)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 2), (3, 4), (4, 3)], ids=lambda s: "%dx%d" % s)
+def test_sparse_transpositions_match_oracle_sites(sizes):
+    # rows index an arbitrary array of profile indices, as in the search
+    d = DomainIndex(*sizes)
+    ks = np.random.default_rng(0).permutation(d.total)[:1500]
+    got = sorted((int(ks[r]), int(v), int(x), int(y))
+                 for rows, vs, xs, ys in _transpositions(d, ks)
+                 for r, v, x, y in zip(rows, vs, xs, ys))
+    want = sorted((int(k), d.index(v), x, y) for k in ks
+                  for v, _, (x, y), _ in _sites_transpositions(d, d.profile(int(k))))
+    assert got == want
 
 
 # -- generator versus exhaustive permutation checks ---------------------------

@@ -20,6 +20,7 @@ from paretocheck import (
     plurality,
     tops_union,
 )
+from paretocheck import core
 from paretocheck.rules import RULE_CATALOG, restricted_pair_profiles, tail_orderings_for_anchored_pair
 
 
@@ -119,6 +120,23 @@ def test_value_tables_match_single_profile_evaluation(d33):
         table = G.value_table(d33)
         for k in range(0, d33.total, 5):
             assert int(table[k]) == G.choose_mask(index_profile(d33, k)), name
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)],
+                         ids=lambda sizes: "%dx%d" % sizes)
+def test_value_tables_match_choose_mask_everywhere(sizes, monkeypatch):
+    # _CHUNK 7 makes blocks of one leading value, 64 several blocks per table
+    m, n = sizes
+    names = ("pareto", "tops", "all", "dictator:1", f"dictator:{n}", "borda", "plurality",
+             "copeland", "drop:a")
+    reference = DomainIndex(m, n)
+    profiles = [index_profile(reference, k) for k in range(reference.total)]
+    want = {name: [make_rule(name, m, n).choose_mask(u) for u in profiles] for name in names}
+    for chunk in (7, 64, core._CHUNK):
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        d = DomainIndex(m, n)
+        for name in names:
+            assert make_rule(name, m, n).value_table(d).tolist() == want[name], (sizes, chunk, name)
 
 
 def test_evaluate_dispatch(d32):
