@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import reduce
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     DomainIndex,
     Profile,
-    index_chunks,
     lower_one,
     parse_profile,
     permute_mask,
@@ -59,46 +59,35 @@ class HeightResult:
         }
 
 
-def _rank_reach(d: DomainIndex, bad: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Per profile, the smallest rank (1-based) holding a flagged alternative."""
-    tbl = d.ordering_table
-    out = np.full(len(ks), d.m + 1, dtype=np.int16)
-    digits = [d.digit(i, ks) for i in range(d.n)]
-    for p in range(d.m):
-        hit = np.zeros(len(ks), dtype=bool)
-        for i in range(d.n):
-            x = tbl[digits[i], p].astype(np.uint8)
-            hit |= ((bad >> x) & 1).astype(bool)
-        fresh = (out == d.m + 1) & hit
-        out[fresh] = p + 1
-    return out
-
-
 def height(G: Correspondence, d: DomainIndex, *, witness_cap: int = 16) -> HeightResult:
     """Best (smallest) rank reached by an undominated-but-unchosen
     alternative, with the profiles attaining it."""
-    values = G.value_table(d)
+    grid = (d.order_count,) * d.n
+    pareto, values = d.pareto_table.reshape(grid), G.value_table(d).reshape(grid)
     full = np.uint8(d.universe.full_mask)
-    best: int | None = None
-    count = 0
-    for lo, hi in index_chunks(d.total):
-        bad = d.pareto_table[lo:hi] & (full ^ values[lo:hi])
-        in_c = bad != 0
-        if not in_c.any():
-            continue
-        count += int(in_c.sum())
-        reach = _rank_reach(d, bad, np.arange(lo, hi))
-        chunk_min = int(reach[in_c].min())
-        if best is None or chunk_min < best:
-            best = chunk_min
-    if best is None:
+
+    def blocks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Per block: its first profile, each profile's unchosen undominated
+        alternatives, and the best rank (1-based) holding one, m+1 if none."""
+        for lo, index in d.blocks():
+            bad = pareto[index] & (full ^ values[index])
+            reach = np.full(bad.shape, d.m + 1, dtype=np.int16)
+            for p in range(d.m):
+                at = d.ordering_table[:, p].view(np.uint8)
+                hit = reduce(np.bitwise_or, (bad >> d.on_axis(index, i, at) for i in range(d.n)))
+                reach[(reach == d.m + 1) & ((hit & 1) != 0)] = p + 1
+            yield lo, bad.ravel(), reach.ravel()
+
+    count, best = 0, d.m + 1
+    for _, bad, reach in blocks():
+        count += int(np.count_nonzero(bad))
+        best = min(best, int(reach.min()))
+    if not count:
         return HeightResult(None, 0, ())
 
     witnesses: list[HeightWitness] = []
-    for lo, hi in index_chunks(d.total):
-        bad = d.pareto_table[lo:hi] & (full ^ values[lo:hi])
-        reach = _rank_reach(d, bad, np.arange(lo, hi))
-        for off in np.nonzero(reach == best)[0]:
+    for lo, bad, reach in blocks():
+        for off in np.flatnonzero(reach == best):
             k = lo + int(off)
             u = d.profile(k)
             mask = int(bad[off])
@@ -252,7 +241,7 @@ def _symmetry_group(d: DomainIndex, mode: str) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _rejected(d: DomainIndex, axioms: frozenset[str], ks: np.ndarray, gu: np.ndarray,
-              value_at: Callable[[np.ndarray | None, np.ndarray], np.ndarray]) -> np.ndarray:
+              value_at: Callable[[np.ndarray | slice, np.ndarray], np.ndarray]) -> np.ndarray:
     """Per row, whether pareto-with-overrides breaks an axiom at profile ``ks``
     holding ``gu``, checking only the constraints that touch it.
 
@@ -324,8 +313,8 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
         vals = image_sets[:, consistent].ravel()[first]
         cand, ov = np.divmod(tags, d.total)
 
-        def value_at(rows: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-            key = (cand if rows is None else cand[rows]) * d.total + v
+        def value_at(rows: np.ndarray | slice, v: np.ndarray) -> np.ndarray:
+            key = cand[rows] * d.total + v
             at = np.minimum(np.searchsorted(tags, key), len(tags) - 1)
             return np.where(tags[at] == key, vals[at], pv[v])
 

@@ -7,13 +7,15 @@ index, breaking ties by smallest individual and then smallest alternative
 indices; the same witness is produced for any worker count.
 
 The sweep runs on one edge layer over a rule's whole-domain value table.
-Each move axiom is a move generator plus an elementwise predicate on the
-choice sets at the two ends of a move.  There are four generators: the
+Each move axiom is a move family plus an elementwise predicate on the
+choice sets at the two ends of a move.  There are four families: the
 one-individual adjacent swap (monotonicity, weak monotonicity and strong
 stability), the two-individual transposition (balancedness), the swap of
-two individuals (anonymity) and the swap of two labels (neutrality).  The
-perturbation search runs the same predicates, both ways, on the profiles it
-overrides.
+two individuals (anonymity) and the swap of two labels (neutrality).  Each
+is described once, as moves on the digit grid of :meth:`DomainIndex.blocks`,
+and two evaluators read the descriptions: the sweep gathers along the axes
+of one block at a time, and the perturbation search follows the moves out of
+the profiles it overrides, running the predicates both ways.
 
 An independent object-level oracle keeps the edge layer honest about what a
 violation is.  It is one table, ``_ORACLE``, giving each axiom a listing of
@@ -28,8 +30,8 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
-from typing import Callable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .core import (
     apply_alternative_permutation,
     apply_individual_permutation,
     apply_transposition,
-    index_chunks,
     lower_one,
     pareto_dominates,
     permute_mask,
@@ -116,83 +117,71 @@ class AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# Edge layer.  Every axiom but pareto and tops-in relates two profiles one move
-# apart.  A move generator takes an array ``ks`` of profile indices u and
-# yields, one move at a time, ``(rows, v, a, b)``: ``rows`` indexes the rows of
-# ``ks`` where the move exists (None: all rows), ``v`` holds their target
-# indices, and ``a`` sits immediately above ``b`` at u for the individual(s)
-# that move (the symmetry moves give the two swapped individuals or labels).
-# Each family is an involution taking the edge (u, v, a, b) to (v, u, b, a).
-# An axiom is one generator plus an elementwise predicate ``bad(gu, gv, a, b)``.
+# Edge layer.  A move axiom is a move family plus an elementwise predicate
+# ``bad(gu, gv, a, b)`` on the choice sets at a move's source u and target v,
+# where ``a`` sits immediately above ``b`` at u for the individual(s) that move
+# (the symmetry moves give the two swapped individuals or labels).  Each family
+# is an involution taking the edge (u, v, a, b) to (v, u, b, a), written once as
+# ``_Move`` descriptions that ``_block_violations`` (dense, one block of the
+# grid) and ``_moves_at`` (sparse, at any profile indices) both evaluate.
 
 
-def _by_rank(d: DomainIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Ordering and swap tables with one contiguous row per rank, as
-    ``at[p][o]`` gathers faster than ``table[o, p]``."""
-    return (np.ascontiguousarray(d.ordering_table.T).view(np.uint8),
-            np.ascontiguousarray(d.swap_table.T))
+class _Move(NamedTuple):
+    """One move on the digit grid.  Individual t's ordering o becomes
+    ``perms[t][o]``, after individuals ``exchange`` and ``exchange + 1`` trade
+    orderings when ``exchange`` is set.  With ``meet = ((i, p), (j, q))`` the
+    move exists only where column ``p`` at i's ordering equals column ``q`` at
+    j's.  ``a`` and ``b`` are alternatives or, when ``on`` is set, per-ordering
+    columns read at individual ``on``'s ordering."""
+
+    perms: dict[int, np.ndarray]
+    meet: tuple[tuple[int, np.ndarray], ...]
+    exchange: int | None
+    a: object
+    b: object
+    on: int | None = None
 
 
-def _adjacent_swaps(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
+def _adjacent_swaps(d: DomainIndex) -> list[_Move]:
     """One individual swaps the alternatives at ranks p and p+1."""
-    at, swp = _by_rank(d)
-    for i in range(d.n):
-        oi = d.digit(i, ks)
-        for p in range(d.m - 1):
-            yield None, ks + (swp[p][oi] - oi) * d.places[i], at[p][oi], at[p + 1][oi]
+    # one contiguous row per rank, as at[p][o] gathers faster than table[o, p]
+    at = np.ascontiguousarray(d.ordering_table.T).view(np.uint8)
+    swp = np.ascontiguousarray(d.swap_table.T)
+    return [_Move({i: swp[p]}, (), None, at[p], at[p + 1], i)
+            for i in range(d.n) for p in range(d.m - 1)]
 
 
-def _transpositions(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
-    """Individuals i < j swap an adjacent pair they rank in opposite orders.
-
-    The pair (x above y) is coded x*m+y, below 64 as m <= 8, and each ordering
-    keeps the set of its reversed adjacent pairs as one mask of m*m bits, so
-    the rows where i's ranks p and p+1 are reversed for j come from one AND.
-    """
-    digits = [d.digit(i, ks) for i in range(d.n)]
-    at, swp = _by_rank(d)
-    m = d.m
-    wide = at.astype(np.min_scalar_type((1 << m * m) - 1))
-    one = wide.dtype.type(1)
-    bit = [one << (wide[p] * m + wide[p + 1]) for p in range(m - 1)]
-    reversed_pairs = reduce(np.bitwise_or, (one << (wide[p + 1] * m + wide[p])
-                                            for p in range(m - 1)))
-    reversed_at = {j: reversed_pairs[digits[j]] for j in range(1, d.n)}
-    rank, swap = d.rank_table.ravel(), d.swap_table.ravel()
-    for i in range(d.n - 1):
-        oi = digits[i]
-        for p in range(m - 1):
-            pair = bit[p][oi]
-            for j in range(i + 1, d.n):
-                rows = np.flatnonzero(pair & reversed_at[j])
-                if not len(rows):
-                    continue
-                ri, rj = oi[rows], digits[j][rows]
-                x, y = at[p][ri], at[p + 1][ri]
-                q = rank[rj * m + y]  # y's rank for j, with x just below it
-                v = (ks[rows]
-                     + (swp[p][ri] - ri) * d.places[i]
-                     + (swap[rj * (m - 1) + q] - rj) * d.places[j])
-                yield rows, v, x, y
+def _transpositions(d: DomainIndex) -> list[_Move]:
+    """Individuals i < j swap alternatives x and y, with x just above y for i
+    and y just above x for j: i lowers x one rank and j raises it one rank.
+    So the move exists where the alternative just below x for i is the one
+    just above x for j."""
+    m, rows = d.m, np.arange(d.order_count)
+    # the alternatives at ranks -1..m, with m+1 above the top and m below the bottom
+    padded = np.pad(d.ordering_table.view(np.uint8), ((0, 0), (1, 1)),
+                    constant_values=((0, 0), (m + 1, m)))
+    moves = []
+    for x in range(m):
+        r = d.rank_table[:, x].astype(np.intp)
+        lower = d.swap_table[rows, np.minimum(r, m - 2)]  # where x is last: unused
+        raise_ = d.swap_table[rows, np.maximum(r - 1, 0)]  # where x is first: unused
+        above, below = padded[rows, r], padded[rows, r + 2]
+        top = np.full(d.order_count, x, dtype=np.uint8)
+        moves += [_Move({i: lower, j: raise_}, ((i, below), (j, above)), None, top, below, i)
+                  for i, j in itertools.combinations(range(d.n), 2)]
+    return moves
 
 
-def _individual_swaps(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
+def _individual_swaps(d: DomainIndex) -> list[_Move]:
     """Individuals g and g+1 exchange orderings."""
-    digits = [d.digit(i, ks) for i in range(d.n)]
-    for g in range(d.n - 1):
-        oa, ob = digits[g], digits[g + 1]
-        yield None, ks + (ob - oa) * d.places[g] + (oa - ob) * d.places[g + 1], g, g + 1
+    return [_Move({}, (), g, g, g + 1) for g in range(d.n - 1)]
 
 
-def _adjacent_relabels(d: DomainIndex, ks: np.ndarray) -> Iterator[tuple]:
+def _adjacent_relabels(d: DomainIndex) -> list[_Move]:
     """Alternatives g and g+1 exchange labels in every ordering."""
-    digits = [d.digit(i, ks) for i in range(d.n)]
     relabel = d.adjacent_relabel_table
-    for g in range(d.m - 1):
-        v = np.zeros(len(ks), dtype=np.int64)
-        for i in range(d.n):
-            v += relabel[g, digits[i]].astype(np.int64) * d.places[i]
-        yield None, v, g, g + 1
+    return [_Move(dict.fromkeys(range(d.n), relabel[g]), (), None, g, g + 1)
+            for g in range(d.m - 1)]
 
 
 def _has(s: np.ndarray, x) -> np.ndarray:
@@ -238,12 +227,36 @@ _EDGES: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+def _moves_at(d: DomainIndex, moves: Sequence[_Move], ks: np.ndarray) -> Iterator[tuple]:
+    """The sparse evaluator: the moves out of the profiles ``ks``, one move at
+    a time, as ``(rows, v, a, b)``.  ``rows`` picks the rows of ``ks`` where
+    the move exists (a slice of all of them, or an index array) and ``v``
+    holds their targets."""
+    digits = [d.digit(t, ks) for t in range(d.n)]
+    for mv in moves:
+        rows, v = slice(None), ks
+        if mv.meet:
+            (i, p), (j, q) = mv.meet
+            rows = np.flatnonzero(p[digits[i]] == q[digits[j]])
+            v = ks[rows]
+        at = [o[rows] for o in digits]
+        for t, perm in mv.perms.items():
+            v = v + (perm[at[t]] - at[t]) * d.places[t]
+        if mv.exchange is not None:
+            g = mv.exchange
+            v = v + (at[g + 1] - at[g]) * (d.places[g] - d.places[g + 1])
+        a, b = mv.a, mv.b
+        if mv.on is not None:
+            a, b = a[at[mv.on]], b[at[mv.on]]
+        yield rows, v, a, b
+
+
 def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
-                   value_at: Callable[[np.ndarray | None, np.ndarray], np.ndarray], *,
+                   value_at: Callable[[np.ndarray | slice, np.ndarray], np.ndarray], *,
                    both_ways: bool = False) -> np.ndarray:
     """Per row of ``ks`` (choice sets ``gu``), whether ``axiom`` is violated
     there; ``value_at(rows, v)`` gives the choice sets at the targets ``v`` of
-    the moves out of those rows of ``ks`` (None: every row).
+    the moves out of the rows ``rows`` of ``ks`` (an index array or a slice).
 
     Forward, a row is flagged when a constraint from u to a neighbour fails.
     ``both_ways`` also flags constraints from a neighbour back to u, which,
@@ -253,46 +266,68 @@ def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
         return (gu & ~d.pareto_table[ks]) != 0
     if axiom == "tops-in":
         return (d.tops_table[ks] & ~gu) != 0
-    moves, bad = _EDGES[axiom]
+    family, bad = _EDGES[axiom]
     viol = np.zeros(len(ks), dtype=bool)
-    for rows, v, a, b in moves(d, ks):
-        g = gu if rows is None else gu[rows]
-        gv = value_at(rows, v)
+    for rows, v, a, b in _moves_at(d, d.memo(family), ks):
+        g, gv = gu[rows], value_at(rows, v)
         hit = bad(g, gv, a, b)
         if both_ways:
             hit |= bad(gv, g, b, a)
-        if rows is None:
-            viol |= hit
-        else:
-            viol[rows] |= hit
-        del rows, v, a, b, g, gv, hit  # hold none of them while the next move is built
+        viol[rows] |= hit
+    return viol
+
+
+def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
+                      grid: np.ndarray, index: tuple) -> np.ndarray:
+    """The grid evaluator: the forward violation mask of the block
+    ``grid[index]`` of a rule's value table ``grid``, viewed as the digit grid
+    (see :meth:`DomainIndex.blocks`).  Each move is a gather along the axes of
+    the individuals it moves, and the targets of a fixed or partly covered
+    individual's moves are read from the whole table."""
+    gu = grid[index]
+    if axiom == "pareto":
+        return (gu & ~d.pareto_table.reshape(grid.shape)[index]) != 0
+    if axiom == "tops-in":
+        return (d.tops_table.reshape(grid.shape)[index] & ~gu) != 0
+    bad = _EDGES[axiom][1]
+    viol = np.zeros(gu.shape, dtype=bool)
+    for mv in moves:
+        source = grid if mv.exchange is None else grid.swapaxes(mv.exchange, mv.exchange + 1)
+        gv = source[tuple(slice(None) if t in mv.perms else s for t, s in enumerate(index))]
+        for t, perm in mv.perms.items():
+            gv = gv.take(perm[index[t]] if t < len(index) else perm, axis=t)
+        a, b = mv.a, mv.b
+        if mv.on is not None:
+            a, b = d.on_axis(index, mv.on, a), d.on_axis(index, mv.on, b)
+        hit = bad(gu, gv, a, b)
+        if mv.meet:
+            (i, p), (j, q) = mv.meet
+            hit &= d.on_axis(index, i, p) == d.on_axis(index, j, q)
+        viol |= hit
     return viol
 
 
 def _scan_domain(d: DomainIndex, values: np.ndarray, axiom: str, workers: int) -> int:
     """Smallest violating profile index over the whole domain, or -1.
 
-    Chunks are swept in ascending order; with several workers they run in
+    Blocks are swept in ascending order; with several workers they run in
     fixed waves and the wave minimum is taken, so the result (and everything
     derived from it) is identical for any worker count.
     """
-    def first_hit(chunk: tuple[int, int]) -> int:
-        lo, hi = chunk
-        viol = violation_mask(d, axiom, np.arange(lo, hi), values[lo:hi],
-                              lambda rows, v: values[v])
+    grid = values.reshape((d.order_count,) * d.n)
+    moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
+
+    def first_hit(block: tuple[int, tuple]) -> int:
+        lo, index = block
+        viol = _block_violations(d, axiom, moves, grid, index).ravel()
         idx = int(viol.argmax())
         return lo + idx if viol[idx] else -1
 
-    chunks = list(index_chunks(d.total))
-    if workers <= 1:
-        for chunk in chunks:
-            hit = first_hit(chunk)
-            if hit >= 0:
-                return hit
-        return -1
+    blocks = list(d.blocks())
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for wave_start in range(0, len(chunks), workers):
-            hits = [h for h in pool.map(first_hit, chunks[wave_start:wave_start + workers])
+        sweep = map if workers == 1 else pool.map  # one worker sweeps in this thread
+        for wave_start in range(0, len(blocks), workers):
+            hits = [h for h in sweep(first_hit, blocks[wave_start:wave_start + workers])
                     if h >= 0]
             if hits:
                 return min(hits)
@@ -487,6 +522,8 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r} (choose from {', '.join(AXIOMS)})")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     values = G.value_table(d)
     hit = _scan_domain(d, values, axiom, workers)
     if hit < 0:

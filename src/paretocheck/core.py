@@ -415,13 +415,6 @@ def enumerate_orderings(m: int) -> tuple[Ordering, ...]:
 _CHUNK = 1 << 18
 
 
-def index_chunks(total: int) -> Iterator[tuple[int, int]]:
-    """Split ``range(total)`` into contiguous chunks of ``_CHUNK`` for sweeping."""
-    size = _CHUNK
-    for lo in range(0, total, size):
-        yield lo, min(lo + size, total)
-
-
 class DomainIndex:
     """Canonical enumeration of every profile over ``m`` alternatives and
     ``n`` individuals, plus the precomputed lookup tables used by sweeps.
@@ -525,6 +518,14 @@ class DomainIndex:
                 out[g, mask] = permute_mask(mask, theta)
         return out
 
+    def memo(self, build: Callable[["DomainIndex"], object]) -> object:
+        """``build(self)``, computed on first use and kept with the domain
+        like the tables above (the move families of the axiom sweeps)."""
+        kept = self.__dict__.setdefault("_memo", {})
+        if build not in kept:
+            kept[build] = build(self)
+        return kept[build]
+
     def relabel_action(self, theta: Sequence[int]) -> np.ndarray:
         """(m!,) int32: ordering index under an arbitrary alternative relabeling."""
         _check_permutation(theta, self.m, "alternative")
@@ -580,18 +581,45 @@ class DomainIndex:
 
     # -- whole-domain tables -------------------------------------------------
 
+    def blocks(self) -> Iterator[tuple[int, tuple[slice, ...]]]:
+        """The digit grid in blocks of about ``_CHUNK`` profiles, in profile
+        order.
+
+        A profile index is a base-m! number, so the domain is the grid
+        ``(m!,) * n`` with individual 1 on the first axis.  A block fixes the
+        orderings of the individuals before some individual k, takes a run of
+        k's orderings and lets every later individual range freely; k is the
+        first individual one of whose orderings covers at most ``_CHUNK``
+        profiles (read at call time), so a run of several of them fills a
+        block.  Yields ``(lo, index)``: ``index`` holds one slice per
+        individual up to k, so ``grid[index]`` is the block with all n axes,
+        and ``lo`` is its first profile.
+        """
+        count, places = self.order_count, self.places
+        k = next(i for i, size in enumerate(places) if size <= _CHUNK or i == self.n - 1)
+        step = max(1, _CHUNK // places[k])
+        for prefix in itertools.product(range(count), repeat=k):
+            base = sum(o * size for o, size in zip(prefix, places))
+            fixed = tuple(slice(o, o + 1) for o in prefix)
+            for a in range(0, count, step):
+                yield base + a * places[k], fixed + (slice(a, min(a + step, count)),)
+
+    def on_axis(self, index: tuple[slice, ...], i: int, column: np.ndarray) -> np.ndarray:
+        """Individual ``i``'s per-ordering ``column`` over the block at
+        ``index``, shaped to broadcast along i's axis."""
+        shape = [1] * self.n
+        shape[i] = -1
+        return (column[index[i]] if i < len(index) else column).reshape(shape)
+
     def tabulate(self, f: Callable[[Callable[..., np.ndarray]], np.ndarray]) -> np.ndarray:
         """(total,) uint8 whole-domain table, built as folds over the digit grid.
 
-        A profile index is a base-m! number, so the domain is the grid
-        ``(m!,) * n`` with individual 1 on the first axis.  The table is filled
-        one block at a time, each block a run of values of the leading digits
-        covering about ``_CHUNK`` profiles.  ``f(fold)`` returns a block's masks
-        (any array broadcasting to the block); ``fold(op, column, individuals)``
-        reduces, with the ufunc ``op``, the per-ordering ``column`` of each
-        individual in ``individuals`` (all by default), each broadcast along
-        its individual's axis.  So no profile index or digit is computed for
-        the trailing axes, and nothing is gathered per profile.
+        The table is filled one block of :meth:`blocks` at a time.  ``f(fold)``
+        returns a block's masks (any array broadcasting to the block);
+        ``fold(op, column, individuals)`` reduces, with the ufunc ``op``, the
+        per-ordering ``column`` of each individual in ``individuals`` (all by
+        default), each broadcast along its individual's axis.  So no profile
+        index or digit is computed, and nothing is gathered per profile.
 
         Raises ValueError when the domain is too large to tabulate: its
         profile count does not fit in int64, or the table cannot be allocated.
@@ -604,27 +632,13 @@ class DomainIndex:
             out = np.empty(self.total, dtype=np.uint8)
         except MemoryError:
             raise ValueError(too_big + ", more than can be allocated") from None
-        count, n = self.order_count, self.n
-        lead, size = n, 1  # leading digits per block, profiles per leading value
-        while lead and size * count <= _CHUNK:
-            lead, size = lead - 1, size * count
-        tail = (count,) * (n - lead)
-        leads, step = count ** lead, max(1, _CHUNK // size)
-        for lo in range(0, leads, step):
-            values = np.arange(lo, min(lo + step, leads))
-            digits = [values // count ** (lead - 1 - i) % count for i in range(lead)]
-
-            def on_axis(i: int, column: np.ndarray) -> np.ndarray:
-                if i < lead:
-                    return column[digits[i]].reshape((-1,) + (1,) * len(tail))
-                return column.reshape((1,) * (1 + i - lead) + (count,) + (1,) * (n - 1 - i))
-
+        grid = out.reshape((self.order_count,) * self.n)
+        for _, index in self.blocks():
             def fold(op: np.ufunc, column: np.ndarray,
-                     individuals: Sequence[int] = range(n)) -> np.ndarray:
-                return reduce(op, (on_axis(i, column) for i in individuals))
+                     individuals: Sequence[int] = range(self.n)) -> np.ndarray:
+                return reduce(op, (self.on_axis(index, i, column) for i in individuals))
 
-            block = out[lo * size:(lo + len(values)) * size]
-            block.reshape((len(values),) + tail)[...] = f(fold)
+            grid[index] = f(fold)
         return out
 
     @cached_property

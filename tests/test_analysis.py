@@ -73,6 +73,41 @@ def test_height_absent_plus_pareto_pass_means_equality(d33):
             assert np.array_equal(G.value_table(d33), d33.pareto_table), name
 
 
+@pytest.mark.parametrize("chunk", [7, None])
+def test_height_matches_an_object_level_loop(chunk, monkeypatch, d33, d42, random_table):
+    # the rank reach folds over each block's axes; _CHUNK 7 gives blocks of
+    # part of one individual's orderings behind fixed ones
+    from paretocheck import core
+
+    if chunk is not None:
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+    for d in (d33, d42):
+        rules = [make_rule(name, d.m, d.n) for name in ("tops", "borda", "plurality")]
+        rules += [random_table(d, seed) for seed in range(4)]
+        for G in rules:
+            reach = {}
+            for k in range(d.total):
+                u = index_profile(d, k)
+                bad = pareto_mask(u) & ~G.choose_mask(u)
+                if bad:
+                    reach[k] = min(r.index(x) + 1 for r in u.orderings for x in r if bad >> x & 1)
+            got = height(G, d, witness_cap=5)
+            assert got.profiles_with_unchosen == len(reach), G.name
+            if not reach:
+                assert got.height is None and got.witnesses == ()
+                continue
+            best = min(reach.values())
+            ks = [k for k in sorted(reach) if reach[k] == best][:5]
+            assert got.height == best, G.name
+            assert [w.profile for w in got.witnesses] == [d.profile_text(k) for k in ks]
+            for w in got.witnesses:
+                u = parse_profile(w.profile, d.universe)
+                bad = pareto_mask(u) & ~G.choose_mask(u)
+                holders = [i for i in range(d.n) if bad >> u.orderings[i][best - 1] & 1]
+                assert (w.rank, w.individual) == (best, holders[0] + 1)
+                assert w.alternative == d.universe.label(u.orderings[holders[0]][best - 1])
+
+
 # -- gap ----------------------------------------------------------------------
 
 
@@ -249,10 +284,14 @@ def _search_candidates(d, mode):
     pytest.param("orbit", (4, 2), id="orbit"),
     pytest.param("single", (3, 3), id="single-3x3"),
     pytest.param("orbit", (3, 3), id="orbit-3x3"),
+    pytest.param("orbit", (5, 2), id="orbit-5x2"),
 ])
 def test_search_is_exact_at_4_2(mode, sizes):
     # accepted deviations == every candidate that passes the full-domain
-    # sweeps, and a budget b keeps exactly those among the first b candidates
+    # sweeps, and a budget b keeps exactly those among the first b candidates.
+    # An orbit batch at (5,2) holds many candidates, and the transposition
+    # neighbours of one candidate's profiles are overridden by others, so
+    # each move out of a profile must be looked up under its own candidate
     d = DomainIndex(*sizes)
     moves = AXIOMS[2:]
     candidates = list(_search_candidates(d, mode))

@@ -28,7 +28,14 @@ from paretocheck import (
     replay_witness,
 )
 from paretocheck import core
-from paretocheck.axioms import _sites_transpositions, _transpositions
+from paretocheck.axioms import (
+    _EDGES,
+    _block_violations,
+    _moves_at,
+    _sites_transpositions,
+    _transpositions,
+    violation_mask,
+)
 from paretocheck.rules import Correspondence
 
 CATALOG_33 = ("pareto", "tops", "borda", "plurality", "copeland", "dictator:1", "all")
@@ -337,11 +344,46 @@ def test_sparse_transpositions_match_oracle_sites(sizes):
     d = DomainIndex(*sizes)
     ks = np.random.default_rng(0).permutation(d.total)[:1500]
     got = sorted((int(ks[r]), int(v), int(x), int(y))
-                 for rows, vs, xs, ys in _transpositions(d, ks)
+                 for rows, vs, xs, ys in _moves_at(d, _transpositions(d), ks)
                  for r, v, x, y in zip(rows, vs, xs, ys))
     want = sorted((int(k), d.index(v), x, y) for k in ks
                   for v, _, (x, y), _ in _sites_transpositions(d, d.profile(int(k))))
     assert got == want
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 2), (3, 4), (4, 3), (5, 2)],
+                         ids=lambda s: "%dx%d" % s)
+def test_grid_and_sparse_evaluators_give_the_same_masks(sizes, monkeypatch, random_table):
+    # the whole forward violation mask, block by block on the digit grid and
+    # at every profile index through the sparse evaluator.  _CHUNK 7 puts a
+    # run of one individual's orderings in a block behind one or two fixed
+    # ones (at (3,4), a single ordering); at (4,3) and (5,2) that makes over
+    # 2,000 blocks of a few profiles, so there only the first table (pareto
+    # with 1% of profiles set to tops, violations spread over the domain)
+    # runs at 7
+    d = DomainIndex(*sizes)
+    pareto, tops = d.pareto_table, d.tops_table
+    mixed = pareto.copy()
+    some = np.random.default_rng(1).choice(d.total, d.total // 100, replace=False)
+    mixed[some] = tops[some]
+    tables = [mixed, tops, tops | pareto] + [random_table(d, seed).value_table(d)
+                                             for seed in range(4)]
+    everything = np.arange(d.total)
+    for axiom in AXIOMS[2:]:  # the move axioms
+        moves = _EDGES[axiom][0](d)
+        want = [violation_mask(d, axiom, everything, values, lambda rows, v: values[v])
+                for values in tables]
+        for chunk in (7, 64, core._CHUNK):
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+            starts = [lo for lo, _ in d.blocks()]
+            runs = 1 if chunk == 7 and d.total > 5000 else len(tables)
+            for values, mask in zip(tables[:runs], want):
+                grid = values.reshape((d.order_count,) * d.n)
+                got = [_block_violations(d, axiom, moves, grid, index).ravel()
+                       for _, index in d.blocks()]
+                assert starts == np.cumsum([0] + [len(g) for g in got[:-1]]).tolist()
+                assert np.array_equal(np.concatenate(got), mask), (sizes, chunk, axiom)
+        assert any(mask.any() for mask in want) and not all(mask.all() for mask in want)
 
 
 # -- generator versus exhaustive permutation checks ---------------------------
@@ -470,6 +512,12 @@ def test_axiom_matrix_shape_and_json(d33):
 def test_unknown_axiom_rejected(d33):
     with pytest.raises(ValueError):
         check_axiom("sincerity", make_rule("pareto", 3, 3), d33)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_worker_count_below_one_rejected(workers, d33):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        check_axiom("pareto", make_rule("pareto", 3, 3), d33, workers=workers)
 
 
 def test_stability_outcomes_pairwise_distinct():

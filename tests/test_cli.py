@@ -222,6 +222,14 @@ def test_check_json_identical_across_workers(capsys):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_check_rejects_worker_counts_below_one(workers, capsys):
+    code, out, err = run(capsys, "check", "--rule", "pareto", "--axioms", "pareto",
+                         "--workers", workers)
+    assert code == 2 and out == ""
+    assert f"workers must be at least 1, got {workers}" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["check", "--badflag"]) == 2
     assert main([]) == 2
