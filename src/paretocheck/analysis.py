@@ -18,7 +18,6 @@ from .core import (
     Profile,
     lower_one,
     parse_profile,
-    permute_mask,
     raise_one,
 )
 from .rules import Correspondence, example_rule, pareto_mask
@@ -230,14 +229,15 @@ def _symmetry_group(d: DomainIndex, mode: str) -> tuple[np.ndarray, np.ndarray, 
     relabeling theta of the alternatives with every permutation rho of the
     individuals in orbit mode.  Returns the thetas' actions on orderings
     (thetas x m!) and on choice-set masks (thetas x 2**m), and the rhos."""
-    thetas = list(itertools.permutations(range(d.m)))
-    rhos = list(itertools.permutations(range(d.n)))
-    if mode == "single":  # the identity, which permutations() yields first
+    thetas = d.ordering_table  # every permutation, lexicographic
+    rhos = np.array(list(itertools.permutations(range(d.n))))
+    if mode == "single":  # the identity, which comes first
         thetas, rhos = thetas[:1], rhos[:1]
-    on_orderings = np.array([d.relabel_action(theta) for theta in thetas], dtype=np.int64)
-    on_masks = np.array([[permute_mask(s, theta) for s in range(1 << d.m)] for theta in thetas],
-                        dtype=np.uint8)
-    return on_orderings, on_masks, np.array(rhos)
+    on_orderings = d.relabel_action(thetas).astype(np.int64)
+    # theta maps mask s to the sum over members a of s of 2**theta[a]
+    members = (np.arange(1 << d.m)[:, None] >> np.arange(d.m)) & 1
+    on_masks = (members << thetas[:, None, :]).sum(axis=2).astype(np.uint8)
+    return on_orderings, on_masks, rhos
 
 
 def _rejected(d: DomainIndex, axioms: frozenset[str], ks: np.ndarray, gu: np.ndarray,

@@ -1,6 +1,6 @@
 """Exhaustive axiom checkers.
 
-Each checker sweeps the whole profile domain and returns a deterministic
+Each checker covers the whole profile domain and returns a deterministic
 :class:`AxiomReport`: a pass/fail verdict plus, on failure, the canonical
 minimal witness.  Canonical means the violation at the smallest profile
 index, breaking ties by smallest individual and then smallest alternative
@@ -15,7 +15,9 @@ two individuals (anonymity) and the swap of two labels (neutrality).  Each
 is described once, as moves on the digit grid of :meth:`DomainIndex.blocks`,
 and two evaluators read the descriptions: the sweep gathers along the axes
 of one block at a time, and the perturbation search follows the moves out of
-the profiles it overrides, running the predicates both ways.
+the profiles it overrides, running the predicates both ways.  For an
+anonymous and neutral rule the sweep is a quotient: the sparse evaluator runs
+on one candidate profile per orbit of relabellings and reorderings.
 
 An independent object-level oracle keeps the edge layer honest about what a
 violation is.  It is one table, ``_ORACLE``, giving each axiom a listing of
@@ -35,6 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     MAX_ALTERNATIVES,
     DomainIndex,
@@ -48,7 +51,7 @@ from .core import (
     raise_one,
     transposition_sites,
 )
-from .rules import Correspondence
+from .rules import RULE_CATALOG, Correspondence
 
 AXIOMS: tuple[str, ...] = (
     "pareto",
@@ -335,6 +338,56 @@ def _scan_domain(d: DomainIndex, values: np.ndarray, axiom: str, workers: int) -
 
 
 # ---------------------------------------------------------------------------
+# Quotient sweeps.  Relabelling the alternatives or reordering the individuals
+# maps every move of every family above to a move of the same family, and
+# every predicate follows the relabelling.  So for an anonymous and neutral
+# rule each axiom's set of flagged profiles is a union of S_m x S_n orbits,
+# and its smallest member is the smallest profile of its orbit: individual 1
+# at ordering 0 (a relabelling takes any ordering there) and the other
+# individuals' orderings non-decreasing (reordering them sorts the digits).
+# The first flagged profile among those candidates is the sweep's hit.
+
+
+def _orbit_minimum_candidates(d: DomainIndex) -> np.ndarray:
+    """Ascending indices of the profiles with individual 1 at ordering 0 and
+    a non-decreasing tail of orderings, C(m!+n-2, n-1) of them."""
+    ks = np.zeros(1, dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    for i in range(1, d.n):
+        # each row extends by every ordering from its last one up, in order
+        reps = d.order_count - last
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        last = np.repeat(last, reps) + np.arange(len(starts)) - starts
+        ks = np.repeat(ks, reps) + last * d.places[i]
+    return ks
+
+
+def _symmetric(G: Correspondence, d: DomainIndex, values: np.ndarray) -> bool:
+    """Whether ``G`` is anonymous and neutral on ``d``: its default rule's
+    catalog entry claims both, and no override breaks either (every
+    generator edge touching an override is checked, both ways)."""
+    entry = RULE_CATALOG.get(G.default)
+    if entry is None or not {"anonymity", "neutrality"} <= entry.expected_axioms:
+        return False
+    ks = np.array([d.index_orderings(key) for key in G.overrides], dtype=np.int64)
+    return not any(violation_mask(d, axiom, ks, values[ks], lambda rows, v: values[v],
+                                  both_ways=True).any()
+                   for axiom in ("anonymity", "neutrality"))
+
+
+def _scan_orbit_minima(d: DomainIndex, values: np.ndarray, axiom: str) -> int:
+    """Smallest violating profile index of a symmetric rule, or -1: the
+    first flagged orbit-minimum candidate, in chunks of ``_CHUNK``."""
+    ks_all = d.memo(_orbit_minimum_candidates)
+    for start in range(0, len(ks_all), core._CHUNK):
+        ks = ks_all[start:start + core._CHUNK]
+        viol = violation_mask(d, axiom, ks, values[ks], lambda rows, v: values[v])
+        if viol.any():
+            return int(ks[viol.argmax()])
+    return -1
+
+
+# ---------------------------------------------------------------------------
 # Object-level oracle.  It walks the moves of ``core`` on Profile objects and
 # never touches the edge layer above, so the two stay independent.  Each axiom
 # is a site listing plus a verdict.  ``sites(d, u)`` yields, in canonical order,
@@ -515,17 +568,27 @@ def _first_violation(axiom: str, G: Correspondence, d: DomainIndex,
 
 
 def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int = 1) -> AxiomReport:
-    """Sweep the whole domain for violations of one axiom.
+    """Check one axiom over the whole domain.
 
-    On failure ``profiles_scanned`` counts the profiles confirmed up to and
-    including the witness; on a pass it is the domain size.
+    The witness is the oracle's first violation at the smallest violating
+    profile.  On failure ``profiles_scanned`` counts the profiles up to and
+    including that profile; on a pass it is the domain size.
+
+    For an anonymous and neutral rule (see :func:`_symmetric`) the axioms
+    other than anonymity and neutrality are checked on one candidate profile
+    per orbit of relabellings and reorderings, and ``workers`` is unused;
+    every other check sweeps the whole domain with ``workers`` threads.  Both
+    find the same smallest violating profile, so the report is the same.
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r} (choose from {', '.join(AXIOMS)})")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     values = G.value_table(d)
-    hit = _scan_domain(d, values, axiom, workers)
+    if axiom not in ("anonymity", "neutrality") and _symmetric(G, d, values):
+        hit = _scan_orbit_minima(d, values, axiom)
+    else:
+        hit = _scan_domain(d, values, axiom, workers)
     if hit < 0:
         return AxiomReport(axiom, "pass", None, d.total)
     witness = next(_violations(axiom, G, d, d.profile(hit)), None)

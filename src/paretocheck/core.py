@@ -440,6 +440,9 @@ class DomainIndex:
         self.n = n
         self.order_count = math.factorial(m)
         self.total = self.order_count ** n
+        if self.total > np.iinfo(np.int64).max:
+            raise ValueError(f"the ({m},{n}) domain has {self.total} profiles, "
+                             "and profile indices overflow int64")
         #: place value of individual i's digit (individual 1 most significant)
         self.places = tuple(self.order_count ** (n - 1 - i) for i in range(n))
 
@@ -526,14 +529,21 @@ class DomainIndex:
             kept[build] = build(self)
         return kept[build]
 
-    def relabel_action(self, theta: Sequence[int]) -> np.ndarray:
-        """(m!,) int32: ordering index under an arbitrary alternative relabeling."""
-        _check_permutation(theta, self.m, "alternative")
-        index = self._ordering_index
-        return np.fromiter(
-            (index[tuple(theta[a] for a in r)] for r in self.orderings),
-            count=self.order_count, dtype=np.int32,
-        )
+    def relabel_action(self, theta: Sequence[int] | np.ndarray) -> np.ndarray:
+        """(m!,) int32: ordering index under an alternative relabeling, where
+        alternative ``a`` becomes ``theta[a]``.  A (k, m) stack of relabelings
+        gives their actions as a (k, m!) stack."""
+        thetas = np.asarray(theta, dtype=np.intp)
+        for t in thetas.reshape(-1, thetas.shape[-1]).tolist():
+            _check_permutation(t, self.m, "alternative")
+        # an ordering's index is its lexicographic rank: digit p of the
+        # factorial number system counts the later alternatives below rank p's
+        relabeled = thetas.astype(np.int8)[..., self.ordering_table]
+        index = np.zeros(relabeled.shape[:-1], dtype=np.int32)
+        for p in range(self.m - 1):
+            later = (relabeled[..., p + 1:] < relabeled[..., p:p + 1]).sum(axis=-1)
+            index += (later * math.factorial(self.m - 1 - p)).astype(np.int32)
+        return index
 
     # -- profile indexing ---------------------------------------------------
 
@@ -621,17 +631,14 @@ class DomainIndex:
         default), each broadcast along its individual's axis.  So no profile
         index or digit is computed, and nothing is gathered per profile.
 
-        Raises ValueError when the domain is too large to tabulate: its
-        profile count does not fit in int64, or the table cannot be allocated.
+        Raises ValueError when the table cannot be allocated.
         """
-        too_big = (f"the ({self.m},{self.n}) domain has {self.total} profiles; "
-                   f"a whole-domain table needs {self.total} bytes")
-        if self.total > np.iinfo(np.int64).max:
-            raise ValueError(too_big + ", and profile indices overflow int64")
         try:
             out = np.empty(self.total, dtype=np.uint8)
         except MemoryError:
-            raise ValueError(too_big + ", more than can be allocated") from None
+            raise ValueError(f"the ({self.m},{self.n}) domain has {self.total} profiles; "
+                             f"a whole-domain table needs {self.total} bytes, "
+                             "more than can be allocated") from None
         grid = out.reshape((self.order_count,) * self.n)
         for _, index in self.blocks():
             def fold(op: np.ufunc, column: np.ndarray,

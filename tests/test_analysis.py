@@ -154,6 +154,12 @@ def test_theorem_pareto_consistent_equal():
             assert result.verdict == CONSISTENT_EQUAL, (k, n)
 
 
+def test_theorem_4_pareto_at_7_2():
+    # 25,401,600 profiles; the symmetric rule's sweeps visit 5,040 of them
+    d = DomainIndex(7, 2)
+    assert verify_theorem(4, make_rule("pareto", 7, 2), d).verdict == CONSISTENT_EQUAL
+
+
 def test_theorem_example_counterexamples(d43xyzw, d53paper):
     r = verify_theorem(3, example_rule(5), d43xyzw)
     assert r.verdict == CONSISTENT_COUNTEREXAMPLE and r.failing_axiom == "monotonicity"

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from paretocheck import (
     AXIOMS,
     DomainIndex,
     Witness,
+    apply_alternative_permutation,
     check_anonymity,
     check_axiom,
     check_axiom_reference,
@@ -28,15 +31,27 @@ from paretocheck import (
     replay_witness,
 )
 from paretocheck import core
+from paretocheck import axioms
 from paretocheck.axioms import (
     _EDGES,
     _block_violations,
     _moves_at,
+    _orbit_minimum_candidates,
     _sites_transpositions,
+    _symmetric,
     _transpositions,
     violation_mask,
 )
-from paretocheck.rules import Correspondence
+from paretocheck.core import Profile, enumerate_orderings, permute_mask
+from paretocheck.rules import (
+    RULE_CATALOG,
+    Correspondence,
+    borda_mask,
+    copeland_mask,
+    plurality_mask,
+    symmetry_orbit,
+    tops_mask,
+)
 
 CATALOG_33 = ("pareto", "tops", "borda", "plurality", "copeland", "dictator:1", "all")
 
@@ -384,6 +399,127 @@ def test_grid_and_sparse_evaluators_give_the_same_masks(sizes, monkeypatch, rand
                 assert starts == np.cumsum([0] + [len(g) for g in got[:-1]]).tolist()
                 assert np.array_equal(np.concatenate(got), mask), (sizes, chunk, axiom)
         assert any(mask.any() for mask in want) and not all(mask.all() for mask in want)
+
+
+# -- quotient sweeps ----------------------------------------------------------
+
+GP_SIZES = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2))
+SYMMETRIC = tuple(name for name, entry in RULE_CATALOG.items()
+                  if {"anonymity", "neutrality"} <= entry.expected_axioms)
+QUOTIENT_AXIOMS = AXIOMS[:6]  # all but anonymity and neutrality
+
+
+def orbit_closed_table(d, seed):
+    """A symmetric default with two whole S_m x S_n orbits overridden, each
+    by an anonymous and neutral rule's value there."""
+    rng = np.random.default_rng(seed)
+    rules = (tops_mask, borda_mask, plurality_mask, copeland_mask,
+             lambda u: u.universe.full_mask)
+    overrides = {}
+    for k in rng.choice(d.total, size=2, replace=False).tolist():
+        f = rules[int(rng.integers(len(rules)))]
+        for member in symmetry_orbit(d.universe, d.profile(k).orderings):
+            overrides[member] = f(Profile(d.universe, member))
+    return Correspondence(d.universe, d.n, ("pareto", "tops")[seed % 2], overrides,
+                          name=f"orbit-closed:{seed}")
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 2), (2, 5), (3, 4), (4, 3)],
+                         ids=lambda s: "%dx%d" % s)
+def test_orbit_minimum_candidates_hold_every_orbit_minimum(sizes):
+    d = DomainIndex(*sizes)
+    ks = _orbit_minimum_candidates(d)
+    assert len(ks) == math.comb(d.order_count + d.n - 2, d.n - 1)
+    assert (np.diff(ks) > 0).all()
+    digits = np.stack([d.digit(i, ks) for i in range(d.n)])
+    assert (digits[0] == 0).all() and (np.diff(digits[1:], axis=0) >= 0).all()
+    # the first profile not yet seen is the smallest of its orbit
+    seen, minima = set(), []
+    for k in range(d.total):
+        if k not in seen:
+            minima.append(k)
+            seen.update(d.index_orderings(o) for o in symmetry_orbit(d.universe, d.profile(k).orderings))
+    assert set(minima) <= set(ks.tolist())
+
+
+@pytest.mark.parametrize("sizes", GP_SIZES + ((3, 4), (4, 4)), ids=lambda s: "%dx%d" % s)
+def test_quotient_and_full_sweeps_agree(sizes, monkeypatch):
+    d = DomainIndex(*sizes)
+    rules = [make_rule(name, *sizes) for name in SYMMETRIC]
+    rules += [orbit_closed_table(d, seed) for seed in range(3)]
+    chunks = (7, core._CHUNK) if d.total <= 20_000 else (core._CHUNK,)
+    got = {}
+    for chunk in chunks:
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        for G in rules:
+            assert _symmetric(G, d, G.value_table(d)), G.name
+            for axiom in QUOTIENT_AXIOMS:
+                got[chunk, G.name, axiom] = json.dumps(check_axiom(axiom, G, d).to_json())
+    monkeypatch.setattr(axioms, "_symmetric", lambda G, d, values: False)
+    for G in rules:
+        for axiom in QUOTIENT_AXIOMS:
+            want = json.dumps(check_axiom(axiom, G, d).to_json())
+            for chunk in chunks:
+                assert got[chunk, G.name, axiom] == want, (sizes, chunk, G.name, axiom)
+    assert any('"fail"' in blob for blob in got.values())
+
+
+def test_quotient_and_full_sweeps_agree_on_symmetric_examples(monkeypatch):
+    rules = [example_rule(1), example_rule(3), example_rule(7), example_rule(11),
+             example_rule(5, "orbit"), example_rule(8, "neutral")]
+    for G in rules:
+        d = DomainIndex(G.m, G.n, G.universe.labels)
+        assert _symmetric(G, d, G.value_table(d)), G.name
+        got = [check_axiom(axiom, G, d).to_json() for axiom in QUOTIENT_AXIOMS]
+        with monkeypatch.context() as full:
+            full.setattr(axioms, "_symmetric", lambda G, d, values: False)
+            assert got == [check_axiom(axiom, G, d).to_json() for axiom in QUOTIENT_AXIOMS], G.name
+
+
+def test_asymmetric_rules_take_the_full_sweep(random_table):
+    d = DomainIndex(3, 3)
+    # relabellings of one profile, chosen as a whole: neutral, not anonymous
+    u = d.parse("abc|bca|abc")
+    neutral = Correspondence(d.universe, d.n, overrides={
+        apply_alternative_permutation(u, theta).orderings: d.universe.full_mask
+        for theta in enumerate_orderings(d.m)})
+    assert check_neutrality(neutral, d).passed and not check_anonymity(neutral, d).passed
+    d53 = DomainIndex(5, 3, "xyzwt")
+    for G, dom in [(make_rule("dictator:1", 3, 3), d), (neutral, d), (example_rule(9), d53)]:
+        assert not _symmetric(G, dom, G.value_table(dom)), G.name
+    # detection is exact: a random table is symmetric iff it is anonymous and
+    # neutral (an override can repeat the default's value)
+    tables = [random_table(d, seed) for seed in range(8)]
+    detected = [_symmetric(G, d, G.value_table(d)) for G in tables]
+    assert detected == [check_anonymity(G, d).passed and check_neutrality(G, d).passed
+                        for G in tables]
+    assert detected.count(False) >= 4
+    for G in [make_rule("dictator:1", 3, 3), neutral] + tables:
+        for axiom in QUOTIENT_AXIOMS:
+            assert check_axiom(axiom, G, d) == check_axiom_reference(axiom, G, d), (G.name, axiom)
+
+
+@pytest.mark.parametrize("sizes", GP_SIZES, ids=lambda s: "%dx%d" % s)
+def test_symmetric_catalog_claims_hold(sizes):
+    # the quotient sweep rests on these claims
+    d = DomainIndex(*sizes)
+    thetas = enumerate_orderings(d.m)
+    on_orderings = np.array([[d.ordering_index(tuple(theta[a] for a in r)) for r in d.orderings]
+                             for theta in thetas])
+    on_masks = np.array([[permute_mask(s, theta) for s in range(1 << d.m)] for theta in thetas])
+    digits = [d.digit(i, np.arange(d.total)) for i in range(d.n)]
+    for name in SYMMETRIC:
+        G = make_rule(name, *sizes)
+        assert check_anonymity(G, d).passed and check_neutrality(G, d).passed, name
+        if d.total <= 1000:  # the object-level loop over the whole group
+            assert check_anonymity(G, d, exhaustive=True).passed, name
+            assert check_neutrality(G, d, exhaustive=True).passed, name
+        # every element of S_m x S_n, as arrays: G(theta rho u) = theta G(u)
+        values = G.value_table(d)
+        for t in range(len(thetas)):
+            for rho in itertools.permutations(range(d.n)):
+                image = sum(on_orderings[t][digits[rho[i]]] * d.places[i] for i in range(d.n))
+                assert np.array_equal(values[image], on_masks[t][values]), (name, thetas[t], rho)
 
 
 # -- generator versus exhaustive permutation checks ---------------------------

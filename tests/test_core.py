@@ -117,6 +117,19 @@ def test_whole_domain_table_rejects_index_overflow():
         DomainIndex(8, 5).pareto_table
 
 
+@pytest.mark.parametrize("m,n", [(7, 6), (8, 6)])
+def test_domain_rejects_index_overflow_under_default_cap(m, n):
+    # within max_individuals, but the profile indices overflow int64
+    total = math.factorial(m) ** n
+    with pytest.raises(ValueError, match=rf"\({m},{n}\) domain has {total} profiles.*int64"):
+        DomainIndex(m, n)
+
+
+def test_largest_domains_within_int64_construct():
+    assert DomainIndex(7, 5).total == 5040 ** 5
+    assert DomainIndex(8, 4).total == 40320 ** 4
+
+
 def test_whole_domain_table_rejects_unallocatable_size():
     # 5040**3 profiles fit in int64, but the 128 GB table cannot be allocated
     with pytest.raises(ValueError, match=r"\(7,3\) domain has 128024064000 profiles.*"
@@ -348,6 +361,19 @@ def test_alternative_permutation_commutes_with_ranks(m, n, data):
     for a, b in enumerate(theta):
         inverse[b] = a
     assert apply_alternative_permutation(v, inverse) == u
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_relabel_action_matches_object_level_relabeling(m):
+    d = DomainIndex(m, 2)
+    thetas = enumerate_orderings(m)
+    want = [[d.ordering_index(apply_alternative_permutation(Profile(d.universe, (r, r)), theta)
+                              .orderings[0]) for r in d.orderings] for theta in thetas]
+    stacked = d.relabel_action(thetas)
+    assert stacked.shape == (len(thetas), d.order_count) and stacked.tolist() == want
+    assert d.relabel_action(thetas[-1]).tolist() == want[-1]
+    with pytest.raises(ValueError, match="permutation"):
+        d.relabel_action([thetas[0], (0,) * m])
 
 
 def test_permutation_size_mismatch():
