@@ -13,14 +13,17 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     DomainIndex,
     Profile,
+    TranspositionSite,
+    apply_transposition,
     lower_one,
     parse_profile,
     raise_one,
 )
-from .rules import Correspondence, example_rule, pareto_mask
+from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
 from .axioms import AXIOMS, AxiomReport, check_axiom, replay_witness, violation_mask
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,9 @@ def verify_theorem(k: int, G: Correspondence, d: DomainIndex, *, workers: int = 
         if not rep.passed:
             return TheoremResult(k, G.name, d.m, d.n, CONSISTENT_COUNTEREXAMPLE,
                                  axiom, tuple(reports), None)
-    equal = bool(np.array_equal(G.value_table(d), d.pareto_table))
+    values, pv = G.value_table(d), d.pareto_table
+    equal = all(np.array_equal(values[lo:lo + core._CHUNK], pv[lo:lo + core._CHUNK])
+                for lo in range(0, d.total, core._CHUNK))
     verdict = CONSISTENT_EQUAL if equal else THEOREM_CONTRADICTION
     return TheoremResult(k, G.name, d.m, d.n, verdict, None, tuple(reports), equal)
 
@@ -441,62 +446,6 @@ class ExampleReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-@dataclass(frozen=True)
-class _RuleClaims:
-    variant: str | None
-    n_default: int
-    passes: tuple[str, ...]
-    fails: tuple[str, ...]
-    deviation: str  # "exact" | "drop" | "tops-diff" | "none"
-
-
-_ALL_BUT = lambda *f: tuple(a for a in AXIOMS if a not in f)
-
-_EXAMPLE_CLAIMS: dict[int, tuple[_RuleClaims, ...]] = {
-    1: (_RuleClaims(None, 3, _ALL_BUT("pareto"), ("pareto",), "none"),),
-    2: (_RuleClaims(None, 3, ("pareto",), ("tops-in",), "none"),),
-    3: (_RuleClaims(None, 3,
-                    ("pareto", "tops-in", "monotonicity", "weak-monotonicity",
-                     "anonymity", "neutrality"),
-                    ("balancedness", "strong-stability"), "none"),),
-    4: (_RuleClaims(None, 3, ("pareto", "balancedness"), ("tops-in",), "exact"),),
-    5: (
-        _RuleClaims(None, 3, ("pareto", "tops-in", "balancedness"),
-                    ("monotonicity",), "exact"),
-        _RuleClaims("orbit", 3,
-                    ("pareto", "tops-in", "balancedness", "anonymity", "neutrality"),
-                    ("monotonicity",), "exact"),
-    ),
-    6: (_RuleClaims(None, 3, ("pareto", "balancedness", "monotonicity"),
-                    ("tops-in",), "drop"),),
-    7: (_RuleClaims(None, 3, ("pareto", "tops-in", "monotonicity"),
-                    ("balancedness",), "none"),),
-    8: (
-        _RuleClaims(None, 2,
-                    ("pareto", "tops-in", "balancedness", "monotonicity",
-                     "weak-monotonicity", "anonymity"),
-                    ("strong-stability", "neutrality"), "exact"),
-        _RuleClaims("neutral", 2,
-                    ("pareto", "tops-in", "balancedness", "monotonicity",
-                     "weak-monotonicity", "anonymity", "neutrality"),
-                    ("strong-stability",), "exact"),
-    ),
-    9: (
-        _RuleClaims(None, 3,
-                    ("pareto", "tops-in", "balancedness", "monotonicity",
-                     "weak-monotonicity", "anonymity"),
-                    ("strong-stability",), "exact"),
-        _RuleClaims("unrestricted", 3, ("pareto", "tops-in"),
-                    ("monotonicity",), "tops-diff"),
-    ),
-    10: (_RuleClaims(None, 3,
-                     ("pareto", "tops-in", "monotonicity", "weak-monotonicity",
-                      "strong-stability"),
-                     ("balancedness",), "exact"),),
-    11: (_RuleClaims(None, 2, _ALL_BUT("pareto"), ("pareto",), "exact"),),
-}
-
-
 def _check_deviation(G: Correspondence, d: DomainIndex, mode: str) -> ExampleCheck:
     diff = G.deviation_indices(d)
     if mode == "exact":
@@ -524,69 +473,69 @@ def _check_deviation(G: Correspondence, d: DomainIndex, mode: str) -> ExampleChe
                         bool(ok), detail)
 
 
-def _value_check(G: Correspondence, text: str, want: str) -> ExampleCheck:
+def _value_check(G: Correspondence, text: str, want: str, move: Callable | None = None,
+                 name: str | None = None) -> ExampleCheck:
+    """Whether ``G`` chooses ``want`` at the profile ``text``, or at its image
+    under ``move`` when given."""
     u = parse_profile(text, G.universe)
-    got = G.choose(u).text()
-    return ExampleCheck(f"{G.name} at {text} chooses {{{want}}}", got == want,
+    got = G.choose(move(u) if move else u).text()
+    return ExampleCheck(name or f"{G.name} at {text} chooses {{{want}}}", got == want,
                         f"observed {{{got}}}")
 
 
-def _extra_checks(k: int, variant: str | None, G: Correspondence,
-                  d: DomainIndex) -> list[ExampleCheck]:
-    checks: list[ExampleCheck] = []
-    uni = G.universe
-    if k == 4 and variant is None:
-        checks.append(_value_check(G, "xyz|yzx|zxy", "x"))
-    if k == 5 and variant is None:
-        checks.append(_value_check(G, "xyzw|ywxz|zwxy", "xyz"))
-        u = parse_profile("xyzw|ywxz|zwxy", uni)
-        v = raise_one(u, 1, uni.index("z"))
-        got = G.choose(v).text()
-        checks.append(ExampleCheck(
-            "raising z one rank for #2 at the fixed profile admits w",
-            got == "xyzw", f"observed {{{got}}}"))
-    if k == 8 and variant is None:
-        checks.append(_value_check(G, "xywzt|ztwxy", "xz"))
-        checks.append(_value_check(G, "ztwxy|xywzt", "xz"))
-        u = parse_profile("xywzt|ztwxy", uni)
-        v = lower_one(u, 0, uni.index("x"))
-        got = G.choose(v).text()
-        checks.append(ExampleCheck(
-            "lowering x below y for #1 at the first fixed profile yields {x,y,z,w}",
-            got == "xyzw", f"observed {{{got}}}"))
-    if k == 9 and variant is None:
+def _extra_checks(G: Correspondence, d: DomainIndex) -> list[ExampleCheck]:
+    """The choice values and single moves the paper states for an example."""
+    uni, at = G.universe, G.universe.index
+    if G.name == "example:4":
+        return [_value_check(G, "xyz|yzx|zxy", "x")]
+    if G.name == "example:5":
+        return [_value_check(G, "xyzw|ywxz|zwxy", "xyz"),
+                _value_check(G, "xyzw|ywxz|zwxy", "xyzw", lambda u: raise_one(u, 1, at("z")),
+                             "raising z one rank for #2 at the fixed profile admits w")]
+    if G.name == "example:8":
+        return [_value_check(G, "xywzt|ztwxy", "xz"), _value_check(G, "ztwxy|xywzt", "xz"),
+                _value_check(G, "xywzt|ztwxy", "xyzw", lambda u: lower_one(u, 0, at("x")),
+                             "lowering x below y for #1 at the first fixed profile "
+                             "yields {x,y,z,w}")]
+    if G.name == "example:9":
         expected = d.n * (d.n - 1) * 6 ** (d.n - 2)
-        checks.append(ExampleCheck(
+        return [ExampleCheck(
             f"the restricted subdomain has {expected} profiles, all choosing {{x,z}}",
             len(G.overrides) == expected
             and all(v == uni.mask_from_labels("xz") for v in G.overrides.values()),
-            f"{len(G.overrides)} profiles"))
-    if k == 9 and variant == "unrestricted":
+            f"{len(G.overrides)} profiles")]
+    if G.name == "example:9-unrestricted":
         base = "xywzt|" + "|".join(["ztwxy"] * (d.n - 1))
-        u = parse_profile(base, uni)
-        checks.append(_value_check(G, base, "xz"))
-        v = raise_one(u, 1, uni.index("x"))
-        got = G.choose(v).text()
-        checks.append(ExampleCheck(
-            "raising x above w for #2 yields {x,z,w}: new alternative chosen",
-            got == "xzw", f"observed {{{got}}}"))
-    if k == 10:
-        checks.append(_value_check(G, "cba|acb|abc", "ac"))
-        checks.append(_value_check(G, "cba|cab|abc", "ac"))
-        from .core import TranspositionSite, apply_transposition, transposition_sites
+        return [_value_check(G, base, "xz"),
+                _value_check(G, base, "xzw", lambda u: raise_one(u, 1, at("x")),
+                             "raising x above w for #2 yields {x,z,w}: new alternative chosen")]
+    if G.name == "example:10":
+        site = TranspositionSite(at("c"), at("b"), 0, 2)
+        return [_value_check(G, "cba|acb|abc", "ac"), _value_check(G, "cba|cab|abc", "ac"),
+                _value_check(G, "cba|acb|abc", "abc", lambda u: apply_transposition(u, site),
+                             "transposing c and b for #1 and #3 changes the choice set "
+                             "to {a,b,c}")]
+    if G.name == "example:11":
+        return [_value_check(G, "|".join([uni.labels] * d.n), uni.labels[:2])]
+    return []
 
-        u = parse_profile("cba|acb|abc", uni)
-        site = TranspositionSite(uni.index("c"), uni.index("b"), 0, 2)
-        ok_site = site in transposition_sites(u)
-        v = apply_transposition(u, site)
-        got = G.choose(v).text()
-        checks.append(ExampleCheck(
-            "transposing c and b for #1 and #3 changes the choice set to {a,b,c}",
-            ok_site and got == "abc", f"observed {{{got}}}"))
-    if k == 11:
-        top_two = "".join(uni.labels[x] for x in (0, 1))
-        unanimous = "|".join([uni.labels] * d.n)
-        checks.append(_value_check(G, unanimous, top_two))
+
+def _claim_checks(G: Correspondence, d: DomainIndex, entry: RuleCatalogEntry, *,
+                  workers: int = 1) -> list[ExampleCheck]:
+    """One check per axiom claim of the catalog ``entry`` about ``G`` on
+    ``d``: a claimed failure must fail with a witness that replays, and a
+    claimed pass must pass.  Failures come first, each group in AXIOMS order."""
+    checks = []
+    for axiom in (a for a in AXIOMS if a in entry.expected_failures):
+        rep = check_axiom(axiom, G, d, workers=workers)
+        replayed = (not rep.passed) and replay_witness(G, d, rep)
+        detail = rep.witness.profiles[0] if rep.witness else "no witness"
+        checks.append(ExampleCheck(f"{G.name} fails {axiom} (witness replays)",
+                                   replayed, f"witness at {detail}"))
+    for axiom in (a for a in AXIOMS if a in entry.expected_axioms):
+        rep = check_axiom(axiom, G, d, workers=workers)
+        detail = "" if rep.passed else f"unexpected witness at {rep.witness.profiles[0]}"
+        checks.append(ExampleCheck(f"{G.name} satisfies {axiom}", rep.passed, detail))
     return checks
 
 
@@ -594,28 +543,20 @@ def reproduce_example(k: int, *, n: int | None = None, workers: int = 1) -> Exam
     """Rebuild example rule ``k`` (with its variants), confirm its declared
     deviation set and choice values, and confirm it fails exactly the axioms
     it is documented to fail while passing the documented rest."""
-    if k not in _EXAMPLE_CLAIMS:
+    entries = [e for name, e in EXAMPLES.items() if name.split("-")[0] == f"example:{k}"]
+    if not entries:
         raise ValueError(f"unknown example {k} (supported: 1..11)")
     checks: list[ExampleCheck] = []
     domains: dict[tuple[int, int, str], DomainIndex] = {}
-    for claims in _EXAMPLE_CLAIMS[k]:
-        G = example_rule(k, claims.variant, n=n if n is not None else claims.n_default)
+    for entry in entries:
+        claim_m, claim_n = entry.claim_size
+        G = make_rule(entry.name, claim_m, n if n is not None else claim_n)
         key = (G.m, G.n, G.universe.labels)
         d = domains.get(key)
         if d is None:
             d = domains[key] = DomainIndex(G.m, G.n, G.universe.labels)
-        if claims.deviation != "none":
-            checks.append(_check_deviation(G, d, claims.deviation))
-        checks.extend(_extra_checks(k, claims.variant, G, d))
-        for axiom in claims.fails:
-            rep = check_axiom(axiom, G, d, workers=workers)
-            replayed = (not rep.passed) and replay_witness(G, d, rep)
-            detail = rep.witness.profiles[0] if rep.witness else "no witness"
-            checks.append(ExampleCheck(f"{G.name} fails {axiom} (witness replays)",
-                                       replayed, f"witness at {detail}"))
-        for axiom in claims.passes:
-            rep = check_axiom(axiom, G, d, workers=workers)
-            detail = ("" if rep.passed else
-                      f"unexpected witness at {rep.witness.profiles[0]}")
-            checks.append(ExampleCheck(f"{G.name} satisfies {axiom}", rep.passed, detail))
+        if entry.deviation != "none":
+            checks.append(_check_deviation(G, d, entry.deviation))
+        checks.extend(_extra_checks(G, d))
+        checks.extend(_claim_checks(G, d, entry, workers=workers))
     return ExampleReport(k, all(c.passed for c in checks), tuple(checks))

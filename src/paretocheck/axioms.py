@@ -298,7 +298,8 @@ def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
         source = grid if mv.exchange is None else grid.swapaxes(mv.exchange, mv.exchange + 1)
         gv = source[tuple(slice(None) if t in mv.perms else s for t, s in enumerate(index))]
         for t, perm in mv.perms.items():
-            gv = gv.take(perm[index[t]] if t < len(index) else perm, axis=t)
+            # a fancy index gathers the targets alone; take would first copy gv whole
+            gv = gv[(slice(None),) * t + (perm[index[t]] if t < len(index) else perm,)]
         a, b = mv.a, mv.b
         if mv.on is not None:
             a, b = d.on_axis(index, mv.on, a), d.on_axis(index, mv.on, b)

@@ -659,13 +659,17 @@ class DomainIndex:
                 dominated = fold(np.bitwise_and, above[:, x]) != 0
                 mask = mask ^ (dominated.view(np.uint8) << np.uint8(x))
             return mask
-        return self.tabulate(undominated)
+        table = self.tabulate(undominated)
+        table.flags.writeable = False  # rule value tables share it
+        return table
 
     @cached_property
     def tops_table(self) -> np.ndarray:
         """(total,) uint8: mask of top-ranked alternatives at every profile."""
         bits = np.uint8(1) << self.top_table.astype(np.uint8)
-        return self.tabulate(lambda fold: fold(np.bitwise_or, bits))
+        table = self.tabulate(lambda fold: fold(np.bitwise_or, bits))
+        table.flags.writeable = False  # rule value tables share it
+        return table
 
 
 def index_profile(d: DomainIndex, k: int) -> Profile:

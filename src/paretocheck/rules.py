@@ -1,5 +1,7 @@
 """Social choice correspondences: the Pareto rule, the comparison rules, and
-the catalog of example rules, all behind one evaluation interface.
+the paper's example rules, all behind one evaluation interface.  One catalog
+holds each named rule and each example with its sizes, its definition and
+the axioms it is claimed to pass and to fail.
 
 A :class:`Correspondence` maps every profile of its ``(m, n)`` domain to a
 non-empty choice set.  It is either a named rule or a table: a default named
@@ -182,11 +184,11 @@ def constant_all(u: Profile) -> ChoiceSet:
 
 
 def _table_tops(d: DomainIndex) -> np.ndarray:
-    return d.tops_table.copy()
+    return d.tops_table
 
 
 def _table_pareto(d: DomainIndex) -> np.ndarray:
-    return d.pareto_table.copy()
+    return d.pareto_table
 
 
 def _table_all(d: DomainIndex) -> np.ndarray:
@@ -249,70 +251,58 @@ _DICTATOR_RE = re.compile(r"^dictator:(\d+)$")
 _DROP_RE = re.compile(r"^drop:(.)$")
 _EXAMPLE_RE = re.compile(r"^example:(\d+)(?:-(orbit|neutral|unrestricted))?$")
 
-#: Axiom-claim entries driving the axiom-matrix checks (3 alternatives,
-#: 3 individuals unless noted).  Unlisted rule/axiom pairs carry no claim.
-
 
 @dataclass(frozen=True)
 class RuleCatalogEntry:
+    """A catalog rule with the axioms it is claimed to pass and to fail on
+    the ``claim_size`` domain, ``(m, n)``.
+
+    A named rule (:data:`RULE_CATALOG`) is its own ``default``.  An example
+    (:data:`EXAMPLES`) is ``default``, where ``{drop}`` stands for the
+    alternative to drop, plus the overrides that ``overrides(universe, n)``
+    builds, over the alternatives ``labels`` (a, b, ... when None).  Its
+    sizes are those of ``claim_size`` except the ones in ``free``, which
+    default to 3 and take any value from ``least`` up.  ``deviation`` says
+    where it differs from the undominated-set rule: at every override
+    (``exact``), wherever its ``drop:`` default removes an alternative
+    (``drop``), at the overrides where the tops are not the undominated set
+    (``tops-diff``), or nowhere in particular (``none``).
+    """
+
     name: str
     expected_axioms: frozenset[str]       # claimed to hold
     expected_failures: frozenset[str]     # claimed to fail
-    note: str
+    default: str
+    claim_size: tuple[int, int] = (3, 3)
+    free: str = "mn"
+    least: tuple[int, int] = (0, 0)
+    labels: str | None = None
+    overrides: Callable[[Universe, int], dict[tuple[Ordering, ...], int]] | None = None
+    deviation: str = "none"
 
 
-RULE_CATALOG: dict[str, RuleCatalogEntry] = {
-    e.name: e
-    for e in (
-        RuleCatalogEntry(
-            "pareto",
-            frozenset({"pareto", "tops-in", "balancedness", "monotonicity",
-                       "weak-monotonicity", "strong-stability", "anonymity", "neutrality"}),
-            frozenset(),
-            "undominated alternatives; satisfies the full axiom list",
-        ),
-        RuleCatalogEntry(
-            "tops",
-            frozenset({"pareto", "tops-in", "monotonicity", "weak-monotonicity",
-                       "anonymity", "neutrality"}),
-            frozenset({"balancedness", "strong-stability"}),
-            "union of the individual tops",
-        ),
-        RuleCatalogEntry(
-            "borda",
-            frozenset({"pareto", "balancedness", "monotonicity", "weak-monotonicity",
-                       "anonymity", "neutrality"}),
-            frozenset({"tops-in", "strong-stability"}),
-            "positional scoring rule",
-        ),
-        RuleCatalogEntry(
-            "plurality",
-            frozenset({"pareto", "monotonicity", "weak-monotonicity",
-                       "anonymity", "neutrality"}),
-            frozenset({"tops-in", "balancedness", "strong-stability"}),
-            "first-place counting rule",
-        ),
-        RuleCatalogEntry(
-            "copeland",
-            frozenset({"pareto", "balancedness", "anonymity", "neutrality"}),
-            frozenset({"strong-stability"}),
-            "pairwise-majority wins minus losses",
-        ),
-        RuleCatalogEntry(
-            "dictator:1",
-            frozenset({"pareto", "neutrality"}),
-            frozenset({"strong-stability", "anonymity"}),
-            "first individual's top choice",
-        ),
-        RuleCatalogEntry(
-            "all",
-            frozenset({"tops-in", "balancedness", "monotonicity", "weak-monotonicity",
-                       "strong-stability", "anonymity", "neutrality"}),
-            frozenset({"pareto"}),
-            "the whole alternative set, constantly",
-        ),
-    )
-}
+def _entry(name: str, passes: str, fails: str, default: str | None = None,
+           **fields) -> RuleCatalogEntry:
+    """A catalog entry with its claims as space-separated axiom names."""
+    return RuleCatalogEntry(name, frozenset(passes.split()), frozenset(fails.split()),
+                            default or name, **fields)
+
+
+_ALL_BUT_PARETO = ("tops-in balancedness monotonicity weak-monotonicity strong-stability "
+                   "anonymity neutrality")
+
+RULE_CATALOG: dict[str, RuleCatalogEntry] = {e.name: e for e in (
+    _entry("pareto", "pareto " + _ALL_BUT_PARETO, ""),
+    _entry("tops", "pareto tops-in monotonicity weak-monotonicity anonymity neutrality",
+           "balancedness strong-stability"),
+    _entry("borda", "pareto balancedness monotonicity weak-monotonicity anonymity neutrality",
+           "tops-in strong-stability"),
+    _entry("plurality", "pareto monotonicity weak-monotonicity anonymity neutrality",
+           "tops-in balancedness strong-stability"),
+    _entry("copeland", "pareto balancedness anonymity neutrality", "strong-stability"),
+    _entry("dictator:1", "pareto neutrality", "strong-stability anonymity"),
+    _entry("all", _ALL_BUT_PARETO, "pareto"),
+)}
 
 
 class Correspondence:
@@ -376,6 +366,8 @@ class Correspondence:
         table = self._tables.get(key)
         if table is None:
             table = self._table_base(d)
+            if self.overrides:  # the base table may be the domain's own, read-only
+                table = table.copy()
             for orderings, mask in self.overrides.items():
                 table[d.index_orderings(orderings)] = mask
             table.flags.writeable = False
@@ -461,10 +453,6 @@ def make_rule(name: str, m: int | None = None, n: int | None = None,
 # Example rules
 
 
-def _parse_fixed(universe: Universe, text: str) -> tuple[Ordering, ...]:
-    return parse_profile(text, universe).orderings
-
-
 def symmetry_orbit(universe: Universe, orderings: tuple[Ordering, ...]) -> tuple[tuple[Ordering, ...], ...]:
     """Closure of one profile under all alternative relabelings and all
     individual permutations, deduplicated, in deterministic order."""
@@ -476,17 +464,6 @@ def symmetry_orbit(universe: Universe, orderings: tuple[Ordering, ...]) -> tuple
         for rho in itertools.permutations(range(n)):
             seen.add(apply_individual_permutation(relabeled, rho).orderings)
     return tuple(sorted(seen))
-
-
-def _orbit_tops_overrides(universe: Universe, seed: tuple[Ordering, ...]) -> dict[tuple[Ordering, ...], int]:
-    out = {}
-    for member in symmetry_orbit(universe, seed):
-        out[member] = tops_mask(Profile(universe, member))
-    return out
-
-
-_EXAMPLE_LABELS = {2: "xy", 4: "xyz", 5: "xyzw", 6: "xyzw", 7: "xyzw",
-                   8: "xyzwt", 9: "xyzwt", 10: "abc"}
 
 
 def tail_orderings_for_anchored_pair(universe: Universe) -> tuple[Ordering, ...]:
@@ -504,8 +481,7 @@ def restricted_pair_profiles(universe: Universe, n: int) -> tuple[tuple[Ordering
     """Profiles built from the eight-ordering list in which each of the two
     anchor orderings occurs exactly once and every other slot holds one of
     the six tail orderings."""
-    anchor1 = _parse_fixed(universe, "xywzt|xywzt")[0]
-    anchor2 = _parse_fixed(universe, "ztwxy|ztwxy")[0]
+    anchor1, anchor2 = parse_profile("xywzt|ztwxy", universe).orderings
     tails = tail_orderings_for_anchored_pair(universe)
     profiles = []
     for p1, p2 in itertools.permutations(range(n), 2):
@@ -520,125 +496,120 @@ def restricted_pair_profiles(universe: Universe, n: int) -> tuple[tuple[Ordering
     return tuple(sorted(set(profiles)))
 
 
+# Override builders of the examples: ``build(universe, n)`` gives the
+# overrides, a map from ordering tuples to choice-set masks.
+
+
+def _choosing(chosen: str | None, *texts: str) -> Callable[[Universe, int], dict]:
+    """The labels ``chosen``, or the tops when None, at the profiles ``texts``."""
+    def build(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
+        keys = [parse_profile(text, universe).orderings for text in texts]
+        return {key: universe.mask_from_labels(chosen) if chosen
+                else tops_mask(Profile(universe, key)) for key in keys}
+    return build
+
+
+def _tops_on_orbit(text: str) -> Callable[[Universe, int], dict]:
+    """The tops on the symmetry orbit of the profile ``text``."""
+    def build(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
+        seed = parse_profile(text, universe).orderings
+        return {member: tops_mask(Profile(universe, member))
+                for member in symmetry_orbit(universe, seed)}
+    return build
+
+
+def _xz_on_restricted_pairs(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
+    return dict.fromkeys(restricted_pair_profiles(universe, n), universe.mask_from_labels("xz"))
+
+
+def _tops_on_anchored_pairs(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
+    """The tops at every profile of the two anchor and six tail orderings."""
+    pool = (parse_profile("xywzt|ztwxy", universe).orderings
+            + tail_orderings_for_anchored_pair(universe))
+    return {combo: tops_mask(Profile(universe, combo))
+            for combo in itertools.product(pool, repeat=n)}
+
+
+def _top_two_when_unanimous(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
+    return {(r,) * n: (1 << r[0]) | (1 << r[1]) for r in itertools.permutations(range(universe.m))}
+
+
+#: The paper's examples 1..11 and their variants, keyed by rule name.
+EXAMPLES: dict[str, RuleCatalogEntry] = {e.name: e for e in (
+    _entry("example:1", _ALL_BUT_PARETO, "pareto", "all"),
+    _entry("example:2", "pareto", "tops-in", "plurality", claim_size=(2, 3), free="",
+           labels="xy"),
+    _entry("example:3", "pareto tops-in monotonicity weak-monotonicity anonymity neutrality",
+           "balancedness strong-stability", "tops", least=(3, 0)),
+    _entry("example:4", "pareto balancedness", "tops-in", "pareto", free="", labels="xyz",
+           overrides=_choosing("x", "xyz|yzx|zxy"), deviation="exact"),
+    _entry("example:5", "pareto tops-in balancedness", "monotonicity", "pareto",
+           claim_size=(4, 3), free="", labels="xyzw",
+           overrides=_choosing(None, "xyzw|ywxz|zwxy"), deviation="exact"),
+    _entry("example:5-orbit", "pareto tops-in balancedness anonymity neutrality",
+           "monotonicity", "pareto", claim_size=(4, 3), free="", labels="xyzw",
+           overrides=_tops_on_orbit("xyzw|ywxz|zwxy"), deviation="exact"),
+    _entry("example:6", "pareto balancedness monotonicity", "tops-in", "drop:{drop}",
+           claim_size=(4, 3), free="n", labels="xyzw", deviation="drop"),
+    _entry("example:7", "pareto tops-in monotonicity", "balancedness", "tops",
+           claim_size=(4, 3), free="n", labels="xyzw"),
+    _entry("example:8",
+           "pareto tops-in balancedness monotonicity weak-monotonicity anonymity",
+           "strong-stability neutrality", "pareto", claim_size=(5, 2), free="",
+           labels="xyzwt", overrides=_choosing("xz", "xywzt|ztwxy", "ztwxy|xywzt"),
+           deviation="exact"),
+    _entry("example:8-neutral", "pareto tops-in balancedness monotonicity "
+           "weak-monotonicity anonymity neutrality", "strong-stability", "pareto",
+           claim_size=(5, 2), free="", labels="xyzwt",
+           overrides=_tops_on_orbit("xywzt|ztwxy"), deviation="exact"),
+    _entry("example:9",
+           "pareto tops-in balancedness monotonicity weak-monotonicity anonymity",
+           "strong-stability", "pareto", claim_size=(5, 3), free="n", least=(0, 3),
+           labels="xyzwt", overrides=_xz_on_restricted_pairs, deviation="exact"),
+    _entry("example:9-unrestricted", "pareto tops-in", "monotonicity", "pareto",
+           claim_size=(5, 3), free="n", least=(0, 3), labels="xyzwt",
+           overrides=_tops_on_anchored_pairs, deviation="tops-diff"),
+    _entry("example:10", "pareto tops-in monotonicity weak-monotonicity strong-stability",
+           "balancedness", "pareto", free="", labels="abc",
+           overrides=_choosing("ac", "cba|acb|abc", "cba|cab|abc"), deviation="exact"),
+    _entry("example:11", _ALL_BUT_PARETO, "pareto", "pareto", claim_size=(3, 2),
+           overrides=_top_two_when_unanimous, deviation="exact"),
+)}
+
+
 def example_rule(k: int, variant: str | None = None, *, m: int | None = None,
                  n: int | None = None, labels: str | None = None,
                  drop: str | None = None) -> Correspondence:
-    """Example correspondence ``k`` (1..11), optionally a named variant.
+    """Example correspondence ``k`` (1..11), optionally a named variant,
+    built from its :data:`EXAMPLES` entry.
 
     Variants: ``example:5-orbit`` extends the single fixed profile to its
     full symmetry orbit; ``example:8-neutral`` does the same for the fixed
     pair; ``example:9-unrestricted`` drops the occurs-exactly-once condition
-    on the two anchor orderings.
+    on the two anchor orderings.  ``drop`` names the alternative example 6
+    drops, by default its last label.
     """
-    def fix(size_m: int | None, size_n: int | None, *, m_free: bool = False,
-            n_free: bool = False) -> tuple[int, int]:
-        got_m = m if m is not None else (size_m if size_m else 3)
-        got_n = n if n is not None else (size_n if size_n else 3)
-        if not m_free and size_m is not None and got_m != size_m:
-            raise ValueError(f"example {k} is defined for m={size_m}, got m={got_m}")
-        if not n_free and size_n is not None and got_n != size_n:
-            raise ValueError(f"example {k} is defined for n={size_n}, got n={got_n}")
-        return got_m, got_n
-
-    if variant is not None and (k, variant) not in {(5, "orbit"), (8, "neutral"), (9, "unrestricted")}:
-        raise ValueError(f"example {k} has no {variant!r} variant")
-    name = f"example:{k}" + (f"-{variant}" if variant else "")
-
-    if k == 1:
-        em, en = fix(None, None, m_free=True, n_free=True)
-        universe = Universe(labels) if labels else Universe.of_size(em)
-        return Correspondence(universe, en, default="all", name=name)
-
-    if k == 2:
-        em, en = fix(2, 3)
-        universe = Universe(labels or _EXAMPLE_LABELS[2])
-        return Correspondence(universe, en, default="plurality", name=name)
-
-    if k == 3:
-        em, en = fix(None, None, m_free=True, n_free=True)
-        if em < 3:
-            raise ValueError(f"example 3 needs m >= 3, got m={em}")
-        universe = Universe(labels) if labels else Universe.of_size(em)
-        return Correspondence(universe, en, default="tops", name=name)
-
-    if k == 4:
-        em, en = fix(3, 3)
-        universe = Universe(labels or _EXAMPLE_LABELS[4])
-        fixed = _parse_fixed(universe, "xyz|yzx|zxy")
-        return Correspondence(universe, en, overrides={fixed: universe.mask_from_labels("x")},
-                              name=name)
-
-    if k == 5:
-        em, en = fix(4, 3)
-        universe = Universe(labels or _EXAMPLE_LABELS[5])
-        fixed = _parse_fixed(universe, "xyzw|ywxz|zwxy")
-        if variant == "orbit":
-            overrides = _orbit_tops_overrides(universe, fixed)
-        else:
-            overrides = {fixed: tops_mask(Profile(universe, fixed))}
-        return Correspondence(universe, en, overrides=overrides, name=name)
-
-    if k == 6:
-        em, en = fix(4, None, n_free=True)
-        universe = Universe(labels or _EXAMPLE_LABELS[6])
-        dropped = drop if drop is not None else universe.labels[-1]
-        return Correspondence(universe, en, default=f"drop:{dropped}", name=name)
-
-    if k == 7:
-        em, en = fix(4, None, n_free=True)
-        universe = Universe(labels or _EXAMPLE_LABELS[7])
-        return Correspondence(universe, en, default="tops", name=name)
-
-    if k == 8:
-        em, en = fix(5, 2)
-        universe = Universe(labels or _EXAMPLE_LABELS[8])
-        fixed = _parse_fixed(universe, "xywzt|ztwxy")
-        if variant == "neutral":
-            overrides = _orbit_tops_overrides(universe, fixed)
-        else:
-            chosen = universe.mask_from_labels("xz")
-            swapped = (fixed[1], fixed[0])
-            overrides = {fixed: chosen, swapped: chosen}
-        return Correspondence(universe, en, overrides=overrides, name=name)
-
-    if k == 9:
-        em, en = fix(5, None, n_free=True)
-        if en < 3:
-            raise ValueError(f"example 9 needs n >= 3, got n={en}")
-        universe = Universe(labels or _EXAMPLE_LABELS[9])
-        if variant == "unrestricted":
-            anchor1 = _parse_fixed(universe, "xywzt|xywzt")[0]
-            anchor2 = _parse_fixed(universe, "ztwxy|ztwxy")[0]
-            pool = (anchor1, anchor2) + tail_orderings_for_anchored_pair(universe)
-            overrides = {}
-            for combo in itertools.product(pool, repeat=en):
-                overrides[combo] = tops_mask(Profile(universe, combo))
-        else:
-            chosen = universe.mask_from_labels("xz")
-            overrides = {p: chosen for p in restricted_pair_profiles(universe, en)}
-        return Correspondence(universe, en, overrides=overrides, name=name)
-
-    if k == 10:
-        em, en = fix(3, 3)
-        universe = Universe(labels or _EXAMPLE_LABELS[10])
-        chosen = universe.mask_from_labels("ac")
-        overrides = {
-            _parse_fixed(universe, "cba|acb|abc"): chosen,
-            _parse_fixed(universe, "cba|cab|abc"): chosen,
-        }
-        return Correspondence(universe, en, overrides=overrides, name=name)
-
-    if k == 11:
-        em, en = fix(None, None, m_free=True, n_free=True)
-        universe = Universe(labels) if labels else Universe.of_size(em)
-        if universe.m != em:
-            raise ValueError(f"labels {universe.labels!r} do not match m={em}")
-        overrides = {}
-        for r in itertools.permutations(range(em)):
-            overrides[(r,) * en] = (1 << r[0]) | (1 << r[1])
-        return Correspondence(universe, en, overrides=overrides, name=name)
-
-    raise ValueError(f"unknown example {k} (supported: 1..11)")
+    name = f"example:{k}" + ("" if variant is None else f"-{variant}")
+    entry = EXAMPLES.get(name)
+    if entry is None:
+        raise ValueError(f"unknown example {k} (supported: 1..11)" if variant is None
+                         else f"example {k} has no {variant!r} variant")
+    sizes = []
+    for axis, claim, given, least in zip("mn", entry.claim_size, (m, n), entry.least):
+        size = given if given is not None else (3 if axis in entry.free else claim)
+        if axis not in entry.free and size != claim:
+            raise ValueError(f"example {k} is defined for {axis}={claim}, got {axis}={size}")
+        if size < least:
+            raise ValueError(f"example {k} needs {axis} >= {least}, got {axis}={size}")
+        sizes.append(size)
+    em, en = sizes
+    labels = labels or entry.labels
+    universe = Universe(labels) if labels else Universe.of_size(em)
+    if universe.m != em:
+        raise ValueError(f"labels {universe.labels!r} do not match m={em}")
+    default = entry.default.format(drop=drop if drop is not None else universe.labels[-1])
+    overrides = entry.overrides(universe, en) if entry.overrides else None
+    return Correspondence(universe, en, default=default, overrides=overrides, name=name)
 
 
 # ---------------------------------------------------------------------------

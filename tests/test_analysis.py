@@ -24,13 +24,14 @@ from paretocheck import (
     verify_theorem,
 )
 from paretocheck.analysis import (
+    _claim_checks,
     CONSISTENT_COUNTEREXAMPLE,
     Deviation,
     CONSISTENT_EQUAL,
     THEOREM_CONTRADICTION,
 )
 from paretocheck.core import permute_mask
-from paretocheck.rules import Correspondence, pareto_mask, tops_mask
+from paretocheck.rules import RULE_CATALOG, Correspondence, pareto_mask, tops_mask
 
 CATALOG = ("pareto", "tops", "borda", "plurality", "copeland", "dictator:1", "all")
 
@@ -443,6 +444,17 @@ def test_reproduce_examples_fast(k):
 def test_reproduce_example_rejects_unknown():
     with pytest.raises(ValueError):
         reproduce_example(12)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CATALOG))
+def test_named_rule_claims_hold(name):
+    # the claims check of reproduce_example: claimed passes pass, claimed
+    # failures fail with a witness that replays
+    entry = RULE_CATALOG[name]
+    d = DomainIndex(*entry.claim_size)
+    checks = _claim_checks(make_rule(name, d.m, d.n), d, entry)
+    assert len(checks) == len(entry.expected_axioms | entry.expected_failures)
+    assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
 def test_theorem_axiom_lists_are_nested():

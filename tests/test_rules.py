@@ -21,7 +21,7 @@ from paretocheck import (
     tops_union,
 )
 from paretocheck import core
-from paretocheck.rules import RULE_CATALOG, restricted_pair_profiles, tail_orderings_for_anchored_pair
+from paretocheck.rules import RULE_CATALOG, Correspondence, restricted_pair_profiles, tail_orderings_for_anchored_pair
 
 
 # -- single-profile rule values ----------------------------------------------
@@ -248,6 +248,42 @@ def test_example_size_validation():
         example_rule(12)
     with pytest.raises(ValueError):
         example_rule(4, "orbit")
+
+
+def test_example_labels_must_match_size():
+    with pytest.raises(ValueError, match="do not match m=2"):
+        example_rule(2, labels="abc")
+    with pytest.raises(ValueError, match="do not match m=3"):
+        example_rule(1, labels="abcd")
+    assert example_rule(1, m=4, labels="abcd").universe.labels == "abcd"
+
+
+def test_shared_tables_stay_intact():
+    # tops and pareto value tables are the domain's own tables; a table rule
+    # over them writes its overrides into a copy
+    d, fresh = DomainIndex(3, 3), DomainIndex(3, 3)
+    for default in ("pareto", "tops"):
+        overrides = {d.profile(k).orderings: d.universe.full_mask for k in range(0, d.total, 7)}
+        table = Correspondence(d.universe, 3, default=default, overrides=overrides)
+        assert (table.value_table(d) != getattr(d, f"{default}_table")).any()
+        assert make_rule(default, 3, 3).value_table(d) is getattr(d, f"{default}_table")
+    for name in ("pareto_table", "tops_table"):
+        shared = getattr(d, name)
+        assert shared.tobytes() == getattr(fresh, name).tobytes()
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0
+
+
+def test_table_over_an_example_default(d33xyz):
+    # the example's cached value table is read-only; the table's own
+    # overrides go into a copy of it
+    G = load_table({"m": 3, "n": 3, "labels": "xyz", "default": "example:4",
+                    "overrides": {"xyz|xyz|zyx": ["z"]}})
+    values = G.value_table(d33xyz)
+    assert values[d33xyz.index(parse_profile("xyz|yzx|zxy", G.universe))] == 1  # {x}
+    assert values[d33xyz.index(parse_profile("xyz|xyz|zyx", G.universe))] == 4  # {z}
+    assert (values != d33xyz.pareto_table).sum() == 2
 
 
 def test_catalog_names_unique_and_axioms_known():
