@@ -24,7 +24,7 @@ from .core import (
     raise_one,
 )
 from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
-from .axioms import AXIOMS, AxiomReport, check_axiom, replay_witness, violation_mask
+from .axioms import AXIOMS, AxiomReport, check_axiom, local_violations, replay_witness
 
 # ---------------------------------------------------------------------------
 # Height
@@ -130,7 +130,7 @@ def gap(G: Correspondence, u: Profile, i: int, w: int) -> int:
 # ---------------------------------------------------------------------------
 # Theorem harness
 
-#: Axiom list per characterization level (key = theorem number, value m range).
+#: Axiom list per characterization level, keyed by theorem number.
 THEOREM_AXIOMS: dict[int, tuple[str, ...]] = {
     1: ("pareto", "tops-in"),
     2: ("pareto", "tops-in", "balancedness"),
@@ -138,7 +138,8 @@ THEOREM_AXIOMS: dict[int, tuple[str, ...]] = {
     4: ("pareto", "tops-in", "balancedness", "weak-monotonicity", "strong-stability"),
 }
 
-_THEOREM_M: dict[int, tuple[int, int]] = {1: (2, 2), 2: (3, 3), 3: (4, 4), 4: (5, 8)}
+#: The range of m each level concerns; the CLI's default m is its lower end.
+THEOREM_M: dict[int, tuple[int, int]] = {1: (2, 2), 2: (3, 3), 3: (4, 4), 4: (5, 8)}
 
 CONSISTENT_EQUAL = "consistent-equal"
 CONSISTENT_COUNTEREXAMPLE = "consistent-counterexample"
@@ -179,7 +180,7 @@ def verify_theorem(k: int, G: Correspondence, d: DomainIndex, *, workers: int = 
     """
     if k not in THEOREM_AXIOMS:
         raise ValueError(f"unknown theorem {k} (supported: 1..4)")
-    m_lo, m_hi = _THEOREM_M[k]
+    m_lo, m_hi = THEOREM_M[k]
     if not m_lo <= d.m <= m_hi:
         raise ValueError(f"theorem {k} concerns m in [{m_lo}, {m_hi}], got m={d.m}")
     reports: list[AxiomReport] = []
@@ -245,21 +246,6 @@ def _symmetry_group(d: DomainIndex, mode: str) -> tuple[np.ndarray, np.ndarray, 
     return on_orderings, on_masks, rhos
 
 
-def _rejected(d: DomainIndex, axioms: frozenset[str], ks: np.ndarray, gu: np.ndarray,
-              value_at: Callable[[np.ndarray | slice, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per row, whether pareto-with-overrides breaks an axiom at profile ``ks``
-    holding ``gu``, checking only the constraints that touch it.
-
-    Sound and complete because the base rule satisfies every axiom: a
-    violation must involve an overridden profile, and every constraint
-    touching one is a unary condition there or a move edge into or out of it.
-    """
-    out = np.zeros(len(ks), dtype=bool)
-    for axiom in axioms:
-        out |= violation_mask(d, axiom, ks, gu, value_at, both_ways=True)
-    return out
-
-
 def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "single",
                         budget: int = 1_000_000) -> list[Deviation]:
     """Search for table correspondences that differ from the undominated-set
@@ -323,7 +309,10 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
             at = np.minimum(np.searchsorted(tags, key), len(tags) - 1)
             return np.where(tags[at] == key, vals[at], pv[v])
 
-        rejected = _rejected(d, axiom_set, ov, vals, value_at)
+        # Checking only the constraints that touch an override is sound and
+        # complete because the base rule satisfies every axiom: a violation
+        # must involve an overridden profile.
+        rejected = local_violations(d, axiom_set, ov, vals, value_at)
         accepted = consistent & (np.bincount(cand, rejected, minlength=len(cols)) == 0)
         picks = np.flatnonzero(accepted)
         for lo, hi in zip(np.searchsorted(cand, picks).tolist(),

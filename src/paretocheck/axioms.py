@@ -33,7 +33,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -280,6 +280,17 @@ def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
     return viol
 
 
+def local_violations(d: DomainIndex, axioms: Iterable[str], ks: np.ndarray, gu: np.ndarray,
+                     value_at: Callable[[np.ndarray | slice, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per row of ``ks`` (choice sets ``gu``), whether a constraint of one of
+    ``axioms`` touching that profile fails: a unary condition there, or a
+    move into or out of it (:func:`violation_mask` both ways)."""
+    out = np.zeros(len(ks), dtype=bool)
+    for axiom in axioms:
+        out |= violation_mask(d, axiom, ks, gu, value_at, both_ways=True)
+    return out
+
+
 def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
                       grid: np.ndarray, index: tuple) -> np.ndarray:
     """The grid evaluator: the forward violation mask of the block
@@ -311,30 +322,16 @@ def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
     return viol
 
 
-def _scan_domain(d: DomainIndex, values: np.ndarray, axiom: str, workers: int) -> int:
-    """Smallest violating profile index over the whole domain, or -1.
-
-    Blocks are swept in ascending order; with several workers they run in
-    fixed waves and the wave minimum is taken, so the result (and everything
-    derived from it) is identical for any worker count.
-    """
-    grid = values.reshape((d.order_count,) * d.n)
-    moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
-
-    def first_hit(block: tuple[int, tuple]) -> int:
-        lo, index = block
-        viol = _block_violations(d, axiom, moves, grid, index).ravel()
-        idx = int(viol.argmax())
-        return lo + idx if viol[idx] else -1
-
-    blocks = list(d.blocks())
+def _first_hit(chunks: Iterable, first: Callable[[object], int], workers: int) -> int:
+    """The first chunk's hit, or -1: ``first`` gives a chunk's smallest
+    flagged profile index, or -1.  Chunks come in ascending profile order and
+    their results are read in that order, so the hit is the smallest flagged
+    profile for any worker count; the chunks not yet started are cancelled."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        sweep = map if workers == 1 else pool.map  # one worker sweeps in this thread
-        for wave_start in range(0, len(blocks), workers):
-            hits = [h for h in sweep(first_hit, blocks[wave_start:wave_start + workers])
-                    if h >= 0]
-            if hits:
-                return min(hits)
+        for hit in (map if workers == 1 else pool.map)(first, chunks):  # one worker: this thread
+            if hit >= 0:
+                pool.shutdown(cancel_futures=True)
+                return hit
     return -1
 
 
@@ -365,27 +362,14 @@ def _orbit_minimum_candidates(d: DomainIndex) -> np.ndarray:
 
 def _symmetric(G: Correspondence, d: DomainIndex, values: np.ndarray) -> bool:
     """Whether ``G`` is anonymous and neutral on ``d``: its default rule's
-    catalog entry claims both, and no override breaks either (every
-    generator edge touching an override is checked, both ways)."""
+    catalog entry claims both, and no constraint of either touching an
+    override fails."""
     entry = RULE_CATALOG.get(G.default)
     if entry is None or not {"anonymity", "neutrality"} <= entry.expected_axioms:
         return False
     ks = np.array([d.index_orderings(key) for key in G.overrides], dtype=np.int64)
-    return not any(violation_mask(d, axiom, ks, values[ks], lambda rows, v: values[v],
-                                  both_ways=True).any()
-                   for axiom in ("anonymity", "neutrality"))
-
-
-def _scan_orbit_minima(d: DomainIndex, values: np.ndarray, axiom: str) -> int:
-    """Smallest violating profile index of a symmetric rule, or -1: the
-    first flagged orbit-minimum candidate, in chunks of ``_CHUNK``."""
-    ks_all = d.memo(_orbit_minimum_candidates)
-    for start in range(0, len(ks_all), core._CHUNK):
-        ks = ks_all[start:start + core._CHUNK]
-        viol = violation_mask(d, axiom, ks, values[ks], lambda rows, v: values[v])
-        if viol.any():
-            return int(ks[viol.argmax()])
-    return -1
+    return not local_violations(d, ("anonymity", "neutrality"), ks, values[ks],
+                                lambda rows, v: values[v]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +561,34 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
 
     For an anonymous and neutral rule (see :func:`_symmetric`) the axioms
     other than anonymity and neutrality are checked on one candidate profile
-    per orbit of relabellings and reorderings, and ``workers`` is unused;
-    every other check sweeps the whole domain with ``workers`` threads.  Both
-    find the same smallest violating profile, so the report is the same.
+    per orbit of relabellings and reorderings; every other check sweeps the
+    whole domain, block by block.  Both find the same smallest violating
+    profile, and both run their chunks on ``workers`` threads, so the report
+    is the same for any worker count.
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r} (choose from {', '.join(AXIOMS)})")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     values = G.value_table(d)
+    # the move family is memoised here, before the threads read it
+    moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
     if axiom not in ("anonymity", "neutrality") and _symmetric(G, d, values):
-        hit = _scan_orbit_minima(d, values, axiom)
+        candidates = d.memo(_orbit_minimum_candidates)
+        chunks = (candidates[lo:lo + core._CHUNK] for lo in range(0, len(candidates), core._CHUNK))
+
+        def first(ks: np.ndarray) -> int:
+            viol = violation_mask(d, axiom, ks, values[ks], lambda rows, v: values[v])
+            return int(ks[viol.argmax()]) if viol.any() else -1
     else:
-        hit = _scan_domain(d, values, axiom, workers)
+        grid = values.reshape((d.order_count,) * d.n)
+        chunks = d.blocks()
+
+        def first(block: tuple[int, tuple]) -> int:
+            lo, index = block
+            viol = _block_violations(d, axiom, moves, grid, index).ravel()
+            return lo + int(viol.argmax()) if viol.any() else -1
+    hit = _first_hit(chunks, first, workers)
     if hit < 0:
         return AxiomReport(axiom, "pass", None, d.total)
     witness = next(_violations(axiom, G, d, d.profile(hit)), None)

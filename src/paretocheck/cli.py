@@ -19,6 +19,7 @@ from .rules import Correspondence, load_table, make_rule
 from .axioms import AXIOMS, axiom_matrix, check_axiom
 from .analysis import (
     THEOREM_AXIOMS,
+    THEOREM_M,
     CONSISTENT_EQUAL,
     perturbation_search,
     reproduce_example,
@@ -27,7 +28,6 @@ from .analysis import (
 
 DEFAULT_MAX_DOMAIN = 2_000_000
 DEFAULT_MATRIX_RULES = "pareto,tops,borda,plurality,copeland,dictator:1,all"
-_THEOREM_DEFAULT_M = {1: 2, 2: 3, 3: 4, 4: 5}
 
 
 class ConfigError(Exception):
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("theorem", help="run one characterization level empirically")
-    p.add_argument("k", type=int, choices=(1, 2, 3, 4))
+    p.add_argument("k", type=int, choices=tuple(THEOREM_AXIOMS))
     p.add_argument("--rule", default="pareto")
     p.add_argument("--table", default=None)
     p.add_argument("--m", type=int, default=None)
@@ -224,7 +224,7 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    m = args.m if args.m is not None else _THEOREM_DEFAULT_M[args.k]
+    m = args.m if args.m is not None else THEOREM_M[args.k][0]
     rule = _load_rule(args, m, args.n)
     _guard_domain(rule.m, rule.n, args.max_domain)
     d = DomainIndex(rule.m, rule.n, rule.universe.labels)

@@ -43,11 +43,6 @@ def default_labels(m: int) -> str:
     return _LABEL_POOL[:m]
 
 
-class Alternative(NamedTuple):
-    index: int
-    label: str
-
-
 @dataclass(frozen=True)
 class Universe:
     """The alternative set; position in ``labels`` is the alternative index."""
@@ -69,10 +64,6 @@ class Universe:
     @property
     def m(self) -> int:
         return len(self.labels)
-
-    @property
-    def alternatives(self) -> tuple[Alternative, ...]:
-        return tuple(Alternative(i, c) for i, c in enumerate(self.labels))
 
     @property
     def full_mask(self) -> int:
@@ -113,10 +104,6 @@ class ChoiceSet:
     def __post_init__(self) -> None:
         if not 0 < self.mask <= self.universe.full_mask:
             raise ValueError(f"choice sets are non-empty subsets of the universe, got mask {self.mask}")
-
-    @classmethod
-    def from_labels(cls, universe: Universe, text: str) -> "ChoiceSet":
-        return cls(universe, universe.mask_from_labels(text))
 
     @property
     def members(self) -> tuple[int, ...]:

@@ -249,7 +249,6 @@ def _table_drop_one(d: DomainIndex, t: int) -> np.ndarray:
 
 _DICTATOR_RE = re.compile(r"^dictator:(\d+)$")
 _DROP_RE = re.compile(r"^drop:(.)$")
-_EXAMPLE_RE = re.compile(r"^example:(\d+)(?:-(orbit|neutral|unrestricted))?$")
 
 
 @dataclass(frozen=True)
@@ -423,9 +422,8 @@ def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
     if match:
         t = universe.index(match.group(1))
         return (lambda u: _drop_one_mask(u, t)), (lambda d: _table_drop_one(d, t))
-    match = _EXAMPLE_RE.match(name)
-    if match:
-        inner = example_rule(int(match.group(1)), match.group(2), m=universe.m, n=n)
+    if name.startswith("example:"):
+        inner = make_rule(name, universe.m, n)
         if inner.universe != universe:
             raise ValueError(f"rule {name!r} uses universe {inner.universe.labels!r}, "
                              f"not {universe.labels!r}")
@@ -437,12 +435,15 @@ def make_rule(name: str, m: int | None = None, n: int | None = None,
               labels: str | None = None) -> Correspondence:
     """Build a catalog rule by name for an ``(m, n)`` domain.
 
-    Example rules carry their own default sizes, so ``m`` and ``n`` may be
-    omitted for them; plain catalog rules require both.
+    Example rules, ``example:k`` or ``example:k-variant`` (found by their
+    :data:`EXAMPLES` key), carry their own default sizes, so ``m`` and ``n``
+    may be omitted for them; plain catalog rules require both.
     """
-    match = _EXAMPLE_RE.match(name)
-    if match:
-        return example_rule(int(match.group(1)), match.group(2), m=m, n=n, labels=labels)
+    if name.startswith("example:"):
+        k, dash, variant = name.removeprefix("example:").partition("-")
+        if not k.isdecimal():
+            raise ValueError(f"unknown rule {name!r}")
+        return example_rule(int(k), variant if dash else None, m=m, n=n, labels=labels)
     if m is None or n is None:
         raise ValueError(f"rule {name!r} needs explicit sizes m and n")
     universe = Universe(labels) if labels else Universe.of_size(m)

@@ -341,7 +341,7 @@ def test_fast_checkers_match_reference_on_table_rules(d33xyz):
 @pytest.mark.parametrize("chunk", [7, 64])
 @pytest.mark.parametrize("sizes", [(3, 2), (3, 3), (4, 2)])
 def test_multi_chunk_waves_match_reference(sizes, chunk, monkeypatch, random_table):
-    # small chunks put many chunks and several worker waves in one sweep
+    # small chunks put many chunks in one sweep, for one worker or several
     d = DomainIndex(*sizes)
     rules = [make_rule("pareto", *sizes)] + [random_table(d, seed) for seed in range(6)]
     want = {(G.name, a): check_axiom_reference(a, G, d) for G in rules for a in AXIOMS}
@@ -448,19 +448,24 @@ def test_quotient_and_full_sweeps_agree(sizes, monkeypatch):
     rules = [make_rule(name, *sizes) for name in SYMMETRIC]
     rules += [orbit_closed_table(d, seed) for seed in range(3)]
     chunks = (7, core._CHUNK) if d.total <= 20_000 else (core._CHUNK,)
+    # the smallest chunk also runs on 2 and 3 threads: its failing sweeps
+    # span many chunks, and the hit must be the first chunk's
+    runs = [(chunk, 1) for chunk in chunks] + [(chunks[0], 2), (chunks[0], 3)]
     got = {}
-    for chunk in chunks:
+    for chunk, workers in runs:
         monkeypatch.setattr(core, "_CHUNK", chunk)
         for G in rules:
             assert _symmetric(G, d, G.value_table(d)), G.name
             for axiom in QUOTIENT_AXIOMS:
-                got[chunk, G.name, axiom] = json.dumps(check_axiom(axiom, G, d).to_json())
+                rep = check_axiom(axiom, G, d, workers=workers)
+                got[chunk, workers, G.name, axiom] = json.dumps(rep.to_json())
+    monkeypatch.setattr(core, "_CHUNK", chunks[-1])
     monkeypatch.setattr(axioms, "_symmetric", lambda G, d, values: False)
     for G in rules:
         for axiom in QUOTIENT_AXIOMS:
             want = json.dumps(check_axiom(axiom, G, d).to_json())
-            for chunk in chunks:
-                assert got[chunk, G.name, axiom] == want, (sizes, chunk, G.name, axiom)
+            for chunk, workers in runs:
+                assert got[chunk, workers, G.name, axiom] == want, (sizes, chunk, workers, G.name, axiom)
     assert any('"fail"' in blob for blob in got.values())
 
 

@@ -258,6 +258,21 @@ def test_example_labels_must_match_size():
     assert example_rule(1, m=4, labels="abcd").universe.labels == "abcd"
 
 
+@pytest.mark.parametrize("name, error", [
+    ("example:12", "unknown example 12 (supported: 1..11)"),
+    ("example:4-orbit", "example 4 has no 'orbit' variant"),
+    ("example:5-foo", "example 5 has no 'foo' variant"),
+    ("example:x", "unknown rule 'example:x'"),
+])
+@pytest.mark.parametrize("sizes", [(), (3, 3)], ids=("no-sizes", "3x3"))
+def test_unknown_example_names(name, error, sizes):
+    # example names are looked up in EXAMPLES, so the error does not depend
+    # on whether sizes are given
+    with pytest.raises(ValueError) as info:
+        make_rule(name, *sizes)
+    assert str(info.value) == error
+
+
 def test_shared_tables_stay_intact():
     # tops and pareto value tables are the domain's own tables; a table rule
     # over them writes its overrides into a copy
