@@ -1,6 +1,11 @@
 """Exhaustive axiom checking for social choice correspondences on
 strict-preference profiles, organized around the Pareto correspondence."""
 
+import os
+
+# The package makes no BLAS call, so numpy's OpenBLAS needs no idle worker thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     ChoiceSet,
     DomainIndex,

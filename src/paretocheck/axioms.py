@@ -30,7 +30,6 @@ at the sweep's offending profile, the reference checks
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -326,9 +325,14 @@ def _first_hit(chunks: Iterable, first: Callable[[object], int], workers: int) -
     """The first chunk's hit, or -1: ``first`` gives a chunk's smallest
     flagged profile index, or -1.  Chunks come in ascending profile order and
     their results are read in that order, so the hit is the smallest flagged
-    profile for any worker count; the chunks not yet started are cancelled."""
+    profile for any worker count; the chunks not yet started are cancelled.
+    One worker maps in this thread, with no pool."""
+    if workers == 1:
+        return next((hit for hit in map(first, chunks) if hit >= 0), -1)
+    from concurrent.futures import ThreadPoolExecutor  # only a pooled sweep pays for the import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for hit in (map if workers == 1 else pool.map)(first, chunks):  # one worker: this thread
+        for hit in pool.map(first, chunks):
             if hit >= 0:
                 pool.shutdown(cancel_futures=True)
                 return hit

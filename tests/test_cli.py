@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paretocheck
 from paretocheck import parse_profile
 from paretocheck.cli import main
 
@@ -233,3 +238,37 @@ def test_check_rejects_worker_counts_below_one(workers, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["check", "--badflag"]) == 2
     assert main([]) == 2
+
+
+# -- threads of a fresh process ---------------------------------------------------
+
+# conftest imports numpy first, so only a fresh process shows what importing
+# the package starts
+_THREAD_PROBE = """
+import json, os, sys
+import paretocheck
+status = "/proc/self/status"
+threads = None
+if os.path.exists(status):
+    threads = int(open(status).read().split("Threads:")[1].split()[0])
+print(json.dumps({"threads": threads, "pool": "concurrent.futures" in sys.modules,
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+def _probe(**env):
+    path = os.pathsep.join(filter(None, [str(Path(paretocheck.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], check=True, capture_output=True,
+                         text=True, env={**child, "PYTHONPATH": path, **env}).stdout
+    return json.loads(out)
+
+
+def test_fresh_process_runs_on_one_thread():
+    default, caller_set = _probe(), _probe(OPENBLAS_NUM_THREADS="2")
+    assert default["blas"] == "1" and caller_set["blas"] == "2"
+    assert not default["pool"] and not caller_set["pool"]
+    if default["threads"] is None:
+        pytest.skip("no /proc/self/status to count threads")
+    assert default["threads"] == 1
