@@ -24,7 +24,14 @@ from .core import (
     raise_one,
 )
 from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
-from .axioms import AXIOMS, AxiomReport, check_axiom, local_violations, replay_witness
+from .axioms import (
+    AXIOMS,
+    AxiomReport,
+    _orbit_minimum_candidates,
+    check_axiom,
+    local_violations,
+    replay_witness,
+)
 
 # ---------------------------------------------------------------------------
 # Height
@@ -223,27 +230,42 @@ class Deviation:
                               name=f"deviation({self.profiles[0]})")
 
 
-#: Cells per search batch.  A batch takes ``_SEARCH_CELLS // max(group size,
-#: 2**m)`` profiles, so its (group x profile) images and its (profile x mask)
-#: candidate grid each stay within this many cells; this bounds the search's
-#: working memory.
+#: Cells per search batch: a batch takes ``_SEARCH_CELLS // 2**m`` base
+#: profiles, so its (profile x mask) candidate grid stays within this many
+#: cells; this bounds the search's working memory.
 _SEARCH_CELLS = 1 << 16
 
 
-def _symmetry_group(d: DomainIndex, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The search's symmetry group: the identity in single mode, every
-    relabeling theta of the alternatives with every permutation rho of the
-    individuals in orbit mode.  Returns the thetas' actions on orderings
-    (thetas x m!) and on choice-set masks (thetas x 2**m), and the rhos."""
-    thetas = d.ordering_table  # every permutation, lexicographic
+def _unrelabel_masks(d: DomainIndex) -> np.ndarray:
+    """(m!, 2**m) uint8: each choice-set mask under the inverse of the
+    relabelling ``rank_table[o]``, which takes alternative a to ordering o's
+    alternative at rank a."""
+    masks, orders = np.arange(1 << d.m), d.ordering_table.view(np.uint8)
+    return reduce(np.bitwise_or, (((masks >> a) & 1).astype(np.uint8) << orders[:, a, None]
+                                  for a in range(d.m)))
+
+
+def _symmetry_group(d: DomainIndex, mode: str) -> tuple[Callable, Callable, Callable]:
+    """The search's symmetry group, as three functions of profile indices:
+    ``canonical(ks)`` and ``pivots(ks)`` as in :meth:`DomainIndex.canonical`
+    and :meth:`DomainIndex.pivot_images`, and ``orbit(k)``, the ascending
+    members of k's orbit.  The group is the identity alone in single mode,
+    and every relabeling of the alternatives with every permutation of the
+    individuals in orbit mode."""
+    if mode == "single":
+        def identity(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return ks, np.zeros_like(ks)  # ordering 0 names the identity relabelling
+
+        return identity, lambda ks: tuple(a[None] for a in identity(ks)), lambda k: [k]
+    act = d.memo(core.ordering_relabels)  # raises past m = 7, before any other table
     rhos = np.array(list(itertools.permutations(range(d.n))))
-    if mode == "single":  # the identity, which comes first
-        thetas, rhos = thetas[:1], rhos[:1]
-    on_orderings = d.relabel_action(thetas).astype(np.int64)
-    # theta maps mask s to the sum over members a of s of 2**theta[a]
-    members = (np.arange(1 << d.m)[:, None] >> np.arange(d.m)) & 1
-    on_masks = (members << thetas[:, None, :]).sum(axis=2).astype(np.uint8)
-    return on_orderings, on_masks, rhos
+    places = np.array(d.places, dtype=np.int64)
+
+    def orbit(k: int) -> list[int]:
+        relabeled = act[:, [d.digit(i, k) for i in range(d.n)]]  # every theta, (m!, n)
+        return np.unique((relabeled[:, rhos] * places).sum(axis=-1)).tolist()
+
+    return d.canonical, d.pivot_images, orbit
 
 
 def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "single",
@@ -272,55 +294,55 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     axiom_set = frozenset(axioms)
-    pv = d.pareto_table
-    tv = d.tops_table
-    on_orderings, on_masks, rhos = _symmetry_group(d, mode)
-    group_size = len(on_orderings) * len(rhos)
-    theta_of = np.repeat(np.arange(len(on_orderings)), len(rhos))[:, None]
+    canonical, pivots, orbit = _symmetry_group(d, mode)
+    unrelabel = d.memo(_unrelabel_masks)
+    pv, tv = d.pareto_table, d.tops_table
+    if mode == "single":
+        bases = np.flatnonzero(pv != tv)  # profiles with a candidate
+    else:
+        bases = d.memo(_orbit_minimum_candidates)
+        bases = bases[pv[bases] != tv[bases]]
+        bases = bases[canonical(bases)[0] == bases]
+
+    def overridden(v: np.ndarray, base: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The choice sets at ``v`` when the orbit of ``base`` takes ``s``
+        relabelled: ``s`` under the inverse of the relabelling that takes v
+        to ``base``, or the Pareto set off the orbit."""
+        minima, theta = canonical(v)
+        return np.where(minima == base, unrelabel[theta, s], pv[v])
+
     masks = np.arange(1 << d.m, dtype=np.uint8)
-    live = np.flatnonzero(pv != tv)  # profiles with a candidate
-    step = max(1, _SEARCH_CELLS // max(group_size, 1 << d.m))
+    labels = [d.universe.mask_labels(s) for s in range(1 << d.m)]
+    step = max(1, _SEARCH_CELLS >> d.m)
     found: list[Deviation] = []
     left = budget
-    for start in range(0, len(live), step):
-        ks = live[start:start + step]
-        # (group x batch) images: individual i of (theta, rho)u holds u(rho[i]) relabeled
-        relabeled = on_orderings[:, np.stack([d.digit(i, ks) for i in range(d.n)])]
-        images = sum(relabeled[:, rhos[:, i]] * d.places[i] for i in range(d.n))
-        images = images.reshape(group_size, len(ks))
-        bases = np.flatnonzero(images.min(axis=0) == ks)
-        tops, pareto = tv[ks[bases], None], pv[ks[bases], None]
+    for start in range(0, len(bases), step):
+        ks = bases[start:start + step]
+        tops, pareto = tv[ks, None], pv[ks, None]
         is_candidate = ((masks & ~pareto) == 0) & ((tops & ~masks) == 0) & (masks != pareto)
         rows, bits = np.nonzero(is_candidate)
-        cols, sets = bases[rows[:left]], masks[bits[:left]]
+        cols, sets = ks[rows[:left]], masks[bits[:left]]
         left -= len(cols)
-        # S is well defined on the orbit iff every element fixing the base fixes S
-        image_sets = on_masks[theta_of, sets]
-        fixes = images[:, cols] == ks[cols]
-        consistent = ~(fixes & (image_sets != sets)).any(axis=0)
-        # One override row per (candidate, orbit member), tagged and sorted
-        tags = np.arange(len(cols)) * d.total + images[:, cols]
-        tags, first = np.unique(tags[:, consistent], return_index=True)
-        vals = image_sets[:, consistent].ravel()[first]
-        cand, ov = np.divmod(tags, d.total)
+        # S is well defined on the orbit iff every relabelling that fixes the
+        # base fixes S; those are the pivots whose image is the base
+        images, thetas = pivots(cols)
+        consistent = ((images != cols) | (unrelabel[thetas, sets] == sets)).all(axis=0)
+        cols, sets = cols[consistent], sets[consistent]
 
         def value_at(rows: np.ndarray | slice, v: np.ndarray) -> np.ndarray:
-            key = cand[rows] * d.total + v
-            at = np.minimum(np.searchsorted(tags, key), len(tags) - 1)
-            return np.where(tags[at] == key, vals[at], pv[v])
+            return overridden(v, cols[rows], sets[rows])
 
-        # Checking only the constraints that touch an override is sound and
-        # complete because the base rule satisfies every axiom: a violation
-        # must involve an overridden profile.
-        rejected = local_violations(d, axiom_set, ov, vals, value_at)
-        accepted = consistent & (np.bincount(cand, rejected, minlength=len(cols)) == 0)
-        picks = np.flatnonzero(accepted)
-        for lo, hi in zip(np.searchsorted(cand, picks).tolist(),
-                          np.searchsorted(cand, picks + 1).tolist()):
+        # The base rule and the override g.base -> g.S are equivariant under
+        # the group, and so is every move family, so each violated constraint
+        # touching the orbit is the image of one touching the base; and one
+        # must touch an override, as the base rule satisfies every axiom.
+        accepted = ~local_violations(d, axiom_set, cols, sets, value_at)
+        for k, s in zip(cols[accepted].tolist(), sets[accepted].tolist()):
+            members = orbit(k)
             found.append(Deviation(
                 mode=mode,
-                profiles=tuple(d.profile_text(k) for k in ov[lo:hi].tolist()),
-                choice_sets=tuple(d.universe.mask_labels(s) for s in vals[lo:hi].tolist()),
+                profiles=tuple(d.profile_text(w) for w in members),
+                choice_sets=tuple(labels[x] for x in overridden(np.array(members), k, s).tolist()),
             ))
         if left == 0:
             break

@@ -563,8 +563,17 @@ class DomainIndex:
             digits.append(o)
         return Profile(self.universe, tuple(self.orderings[o] for o in reversed(digits)))
 
+    @cached_property
+    def _ordering_text(self) -> tuple[str, ...]:
+        labels = self.universe.labels
+        return tuple("".join(labels[x] for x in r) for r in self.orderings)
+
     def profile_text(self, k: int) -> str:
-        return str(self.profile(k))
+        """``str(self.profile(k))``, read off one label string per ordering."""
+        if not 0 <= k < self.total:
+            raise ValueError(f"profile index {k} out of range [0, {self.total})")
+        text = self._ordering_text
+        return "|".join(text[(k // size) % self.order_count] for size in self.places)
 
     def parse(self, text: str) -> Profile:
         u = parse_profile(text, self.universe)
@@ -575,6 +584,37 @@ class DomainIndex:
     def digit(self, i: int, ks: np.ndarray) -> np.ndarray:
         """Ordering indices of individual ``i`` for an array of profile indices."""
         return (ks // self.places[i]) % self.order_count
+
+    # -- orbit minima ----------------------------------------------------------
+
+    def pivot_images(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each pivot individual i and each profile of ``ks``: the
+        profile relabelled by theta_i, the relabelling that takes i's ordering
+        to ordering 0, with its orderings sorted into ascending index order;
+        and i's ordering o, which names theta_i as ``rank_table[o]``.  Both
+        are (n, len(ks)).
+
+        A relabelling fixes an orbit minimum up to a reordering of its
+        individuals exactly when it is the theta_i of a pivot i whose image
+        is the minimum itself."""
+        act = self.memo(ordering_relabels)
+        digits = np.stack([self.digit(i, ks) for i in range(self.n)])
+        # [i, k, j]: individual j's ordering at profile k, relabelled by theta_i
+        relabeled = np.sort(act[digits[:, :, None], digits.T], axis=-1)
+        return (relabeled * np.array(self.places, dtype=np.int64)).sum(axis=-1), digits
+
+    def canonical(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The smallest profile index in each S_m x S_n orbit of ``ks``, with
+        the relabelling theta that takes each profile there, given as the
+        ordering o with ``theta = rank_table[o]``.
+
+        The minimum holds ordering 0, so its theta takes some individual's
+        ordering to ordering 0, and its orderings ascend: it is the smallest
+        of the :meth:`pivot_images`.  O(n**2 log n) per profile, with no
+        enumeration of the group."""
+        images, orders = self.pivot_images(ks)
+        best, at = images.argmin(axis=0), np.arange(images.shape[1])
+        return images[best, at], orders[best, at]
 
     # -- whole-domain tables -------------------------------------------------
 
@@ -657,6 +697,32 @@ class DomainIndex:
         table = self.tabulate(lambda fold: fold(np.bitwise_or, bits))
         table.flags.writeable = False  # rule value tables share it
         return table
+
+
+#: Largest m whose (m!, m!) table of relabelled orderings is built; at m = 8
+#: it would take 3.3 GB.
+MAX_CANONICAL_ALTERNATIVES = 7
+
+
+def ordering_relabels(d: DomainIndex) -> np.ndarray:
+    """(m!, m!) ``act[o, p]``: ordering p relabelled by ``rank_table[o]``, the
+    relabelling that takes ordering o to ordering 0, in the smallest integer
+    dtype that holds m!.  Kept with the domain by :meth:`DomainIndex.memo`.
+
+    Raises ValueError past :data:`MAX_CANONICAL_ALTERNATIVES`, before
+    building anything."""
+    count = d.order_count
+    dtype = np.min_scalar_type(count - 1)
+    if d.m > MAX_CANONICAL_ALTERNATIVES:
+        raise ValueError(f"orbit minima on the ({d.m},{d.n}) domain need a ({count}, {count}) "
+                         f"table of relabelled orderings, {count * count * dtype.itemsize} "
+                         f"bytes; they are supported up to {MAX_CANONICAL_ALTERNATIVES} "
+                         "alternatives")
+    act = np.empty((count, count), dtype=dtype)
+    step = max(1, _CHUNK // count)  # relabel_action holds (step, m!, m) cells
+    for lo in range(0, count, step):
+        act[lo:lo + step] = d.relabel_action(d.rank_table[lo:lo + step])
+    return act
 
 
 def index_profile(d: DomainIndex, k: int) -> Profile:

@@ -322,6 +322,13 @@ def test_search_is_exact_at_4_2(mode, sizes):
     assert any(expected.values()) and not all(expected.values())
 
 
+def test_orbit_search_rejects_eight_alternatives_before_any_table():
+    d = DomainIndex(8, 2)  # its Pareto table alone would take 1.6 GB
+    with pytest.raises(ValueError, match=r"\(8,2\) domain need a \(40320, 40320\) table"):
+        perturbation_search(d, ("pareto", "tops-in"), mode="orbit")
+    assert not {"pareto_table", "tops_table", "ordering_table"} & set(vars(d))
+
+
 def test_search_deviations_never_contradict_theorems(d43):
     devs = perturbation_search(d43, ("pareto", "tops-in", "balancedness"))
     for dev in devs[:8]:

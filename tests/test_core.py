@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +27,8 @@ from paretocheck import (
     rank_of,
     transposition_sites,
 )
+from paretocheck.axioms import _orbit_minimum_candidates
+from paretocheck.rules import symmetry_orbit
 
 
 # -- enumeration -------------------------------------------------------------
@@ -374,6 +377,58 @@ def test_relabel_action_matches_object_level_relabeling(m):
     assert d.relabel_action(thetas[-1]).tolist() == want[-1]
     with pytest.raises(ValueError, match="permutation"):
         d.relabel_action([thetas[0], (0,) * m])
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 2), (3, 4), (2, 5)], ids=lambda s: "%dx%d" % s)
+def test_canonical_matches_brute_force_orbits(sizes):
+    d = DomainIndex(*sizes)
+    minima, thetas = d.canonical(np.arange(d.total))
+    images, orders = d.pivot_images(np.arange(d.total))
+    smallest = {}  # profile index -> smallest index of its orbit
+    for k in range(d.total):
+        if k not in smallest:
+            orbit = [d.index_orderings(o) for o in symmetry_orbit(d.universe, d.profile(k).orderings)]
+            smallest.update(dict.fromkeys(orbit, min(orbit)))
+    assert minima.tolist() == [smallest[k] for k in range(d.total)]
+    # several individuals share an ordering at many of these profiles, so
+    # several pivots reach the minimum; each must carry its own relabelling
+    assert ((images == minima).sum(axis=0) > 1).any()
+    for k in range(d.total):
+        u = d.profile(k)
+        for pivot in range(d.n):
+            theta = d.rank_table[orders[pivot, k]].tolist()
+            relabeled = apply_alternative_permutation(u, theta).orderings
+            assert relabeled[pivot] == d.orderings[0]
+            assert d.index_orderings(sorted(relabeled)) == images[pivot, k]
+        relabeled = apply_alternative_permutation(u, d.rank_table[thetas[k]].tolist())
+        assert d.index_orderings(sorted(relabeled.orderings)) == minima[k]
+    fixed = np.flatnonzero(minima == np.arange(d.total))
+    assert set(fixed.tolist()) <= set(_orbit_minimum_candidates(d).tolist())
+    # at an orbit minimum, the pivots whose image is the minimum give exactly
+    # the relabellings that fix it up to a reordering of the individuals
+    for k in fixed.tolist():
+        u = d.profile(k)
+        stabiliser = {theta for theta in d.orderings
+                      if sorted(apply_alternative_permutation(u, theta).orderings) == sorted(u.orderings)}
+        pivots = {tuple(d.rank_table[orders[i, k]].tolist()) for i in range(d.n) if images[i, k] == k}
+        assert stabiliser == pivots
+
+
+def test_canonical_rejects_eight_alternatives_before_building():
+    d = DomainIndex(8, 2)
+    with pytest.raises(ValueError, match=r"\(8,2\) domain need a \(40320, 40320\) table.*"
+                                         r"3251404800 bytes"):
+        d.canonical(np.zeros(1, dtype=np.int64))
+    assert not {"pareto_table", "rank_table", "ordering_table"} & set(vars(d))
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (4, 2)])
+def test_profile_text_matches_profile(sizes):
+    d = DomainIndex(*sizes, labels="xyzw"[:sizes[0]])
+    assert [d.profile_text(k) for k in range(d.total)] == [str(d.profile(k)) for k in range(d.total)]
+    for k in (-1, d.total):
+        with pytest.raises(ValueError, match="out of range"):
+            d.profile_text(k)
 
 
 def test_permutation_size_mismatch():
