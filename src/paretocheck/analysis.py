@@ -232,7 +232,8 @@ class Deviation:
 
 #: Cells per search batch: a batch takes ``_SEARCH_CELLS // 2**m`` base
 #: profiles, so its (profile x mask) candidate grid stays within this many
-#: cells; this bounds the search's working memory.
+#: cells, and single mode's budget scan reads slices of as many profiles.
+#: This bounds the search's working memory.
 _SEARCH_CELLS = 1 << 16
 
 
@@ -245,27 +246,41 @@ def _unrelabel_masks(d: DomainIndex) -> np.ndarray:
                                   for a in range(d.m)))
 
 
-def _symmetry_group(d: DomainIndex, mode: str) -> tuple[Callable, Callable, Callable]:
-    """The search's symmetry group, as three functions of profile indices:
-    ``canonical(ks)`` and ``pivots(ks)`` as in :meth:`DomainIndex.canonical`
-    and :meth:`DomainIndex.pivot_images`, and ``orbit(k)``, the ascending
-    members of k's orbit.  The group is the identity alone in single mode,
-    and every relabeling of the alternatives with every permutation of the
-    individuals in orbit mode."""
-    if mode == "single":
-        def identity(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return ks, np.zeros_like(ks)  # ordering 0 names the identity relabelling
+def _is_candidate(tops: np.ndarray, pareto: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether each choice-set mask S is a search candidate, tops ⊆ S ⊊
+    pareto, broadcast over the three uint8 arrays."""
+    return ((masks & ~pareto) == 0) & ((tops & ~masks) == 0) & (masks != pareto)
 
-        return identity, lambda ks: tuple(a[None] for a in identity(ks)), lambda k: [k]
-    act = d.memo(core.ordering_relabels)  # raises past m = 7, before any other table
+
+def _single_cut(d: DomainIndex, budget: int) -> tuple[int, int] | None:
+    """The last of the first ``budget`` single-mode candidates, as (profile,
+    mask), or None when the domain has no more candidates than that.  They
+    are ordered by profile and then by mask, and a profile u has
+    2**|pareto(u) - tops(u)| - 1 of them.  The Pareto and tops tables are
+    read in slices, up to the one that holds the cut."""
+    pv, tv = d.pareto_table, d.tops_table
+    count = np.array([(1 << bin(extra).count("1")) - 1 for extra in range(256)], dtype=np.uint8)
+    left = budget
+    for lo in range(0, d.total, _SEARCH_CELLS):
+        sizes = count[pv[lo:lo + _SEARCH_CELLS] & ~tv[lo:lo + _SEARCH_CELLS]]
+        reach = np.cumsum(sizes, dtype=np.int64)
+        if reach[-1] >= left:
+            at = int(np.searchsorted(reach, left))  # the first profile reaching the cut
+            rank = left - int(reach[at]) + int(sizes[at]) - 1
+            masks = np.arange(1 << d.m, dtype=np.uint8)
+            return lo + at, int(np.flatnonzero(_is_candidate(tv[lo + at], pv[lo + at], masks))[rank])
+        left -= int(reach[-1])
+    return None
+
+
+def _orbit(d: DomainIndex, k: int) -> np.ndarray:
+    """The members of profile k's S_m x S_n orbit, ascending."""
+    act = d.memo(core.ordering_relabels)
     rhos = np.array(list(itertools.permutations(range(d.n))))
-    places = np.array(d.places, dtype=np.int64)
-
-    def orbit(k: int) -> list[int]:
-        relabeled = act[:, [d.digit(i, k) for i in range(d.n)]]  # every theta, (m!, n)
-        return np.unique((relabeled[:, rhos] * places).sum(axis=-1)).tolist()
-
-    return d.canonical, d.pivot_images, orbit
+    relabeled = act[:, [d.digit(i, k) for i in range(d.n)]]  # every theta, (m!, n)
+    images = np.sort((relabeled[:, rhos] * np.array(d.places, dtype=np.int64)).sum(axis=-1),
+                     axis=None)
+    return images[np.diff(images, prepend=-1) != 0]
 
 
 def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "single",
@@ -273,18 +288,19 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     """Search for table correspondences that differ from the undominated-set
     rule yet satisfy every requested axiom.
 
-    A candidate is a base profile and a choice set S with tops ⊆ S ⊊ pareto
-    there, whatever axioms are asked for.  It overrides the base profile's
-    whole orbit under a symmetry group, each image taking S relabeled: the
-    group is the identity alone in single mode (the orbit is the base
-    profile) and every relabeling of the alternatives combined with every
-    permutation of the individuals in orbit mode.  A base is the smallest
-    profile index of its orbit.  A candidate whose S is not well defined on
-    the orbit (some group element fixes the base but moves S) is never
-    accepted.  Candidates are ordered by base, then by S, and the budget
-    counts every candidate examined, orbit-inconsistent ones included; the
-    search stops after ``budget`` of them, so results are deterministic.
-    Emptiness within budget is evidence at this scale, not a proof.
+    A candidate is a profile and a choice set S with tops ⊆ S ⊊ pareto
+    there, whatever axioms are asked for.  In single mode it overrides that
+    profile alone; candidates are ordered by profile, then by S, and the
+    result lists every accepted one among the first ``budget``, in that
+    order.  In orbit mode it overrides the profile's whole orbit under every
+    relabeling of the alternatives combined with every permutation of the
+    individuals, each image taking S relabeled; the profile is the smallest
+    index of its orbit, a candidate whose S is not well defined on the orbit
+    (some group element fixes the profile but moves S) is never accepted,
+    and the budget counts the first ``budget`` of these candidates, by
+    profile and then S, orbit-inconsistent ones included.  Either way the
+    result is deterministic.  Emptiness within budget is evidence at this
+    scale, not a proof.
     """
     bad = frozenset(axioms) - set(AXIOMS)
     if bad:
@@ -294,59 +310,81 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     axiom_set = frozenset(axioms)
-    canonical, pivots, orbit = _symmetry_group(d, mode)
+    d.memo(core.ordering_relabels)  # raises past m = 7, before any other table
     unrelabel = d.memo(_unrelabel_masks)
     pv, tv = d.pareto_table, d.tops_table
-    if mode == "single":
-        bases = np.flatnonzero(pv != tv)  # profiles with a candidate
-    else:
-        bases = d.memo(_orbit_minimum_candidates)
-        bases = bases[pv[bases] != tv[bases]]
-        bases = bases[canonical(bases)[0] == bases]
-
-    def overridden(v: np.ndarray, base: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """The choice sets at ``v`` when the orbit of ``base`` takes ``s``
-        relabelled: ``s`` under the inverse of the relabelling that takes v
-        to ``base``, or the Pareto set off the orbit."""
-        minima, theta = canonical(v)
-        return np.where(minima == base, unrelabel[theta, s], pv[v])
+    # Both modes check one base per S_m x S_n orbit, its smallest profile.  A
+    # single-mode orbit meets the first ``budget`` candidates only if its base does
+    cut = _single_cut(d, budget) if mode == "single" else None
+    bases = d.memo(_orbit_minimum_candidates)
+    if cut is not None:
+        bases = bases[:np.searchsorted(bases, cut[0], side="right")]
+    bases = bases[pv[bases] != tv[bases]]
+    bases = bases[d.canonical(bases)[0] == bases]
 
     masks = np.arange(1 << d.m, dtype=np.uint8)
-    labels = [d.universe.mask_labels(s) for s in range(1 << d.m)]
     step = max(1, _SEARCH_CELLS >> d.m)
-    found: list[Deviation] = []
+    found: dict[int, list[int]] = {}  # accepted S per base, in order
     left = budget
     for start in range(0, len(bases), step):
         ks = bases[start:start + step]
         tops, pareto = tv[ks, None], pv[ks, None]
-        is_candidate = ((masks & ~pareto) == 0) & ((tops & ~masks) == 0) & (masks != pareto)
-        rows, bits = np.nonzero(is_candidate)
-        cols, sets = ks[rows[:left]], masks[bits[:left]]
-        left -= len(cols)
-        # S is well defined on the orbit iff every relabelling that fixes the
-        # base fixes S; those are the pivots whose image is the base
-        images, thetas = pivots(cols)
-        consistent = ((images != cols) | (unrelabel[thetas, sets] == sets)).all(axis=0)
-        cols, sets = cols[consistent], sets[consistent]
+        rows, bits = np.nonzero(_is_candidate(tops, pareto, masks))
+        cols, sets = ks[rows], masks[bits]
+        if mode == "single":
+            def value_at(rows: np.ndarray | slice, v: np.ndarray) -> np.ndarray:
+                """S at the base alone, the Pareto set elsewhere."""
+                return np.where(v == cols[rows], sets[rows], pv[v])
+        else:
+            cols, sets = cols[:left], sets[:left]
+            left -= len(cols)
+            # S is well defined on the orbit iff every relabelling that fixes
+            # the base fixes S; those are the pivots whose image is the base
+            images, thetas = d.pivot_images(cols)
+            consistent = ((images != cols) | (unrelabel[thetas, sets] == sets)).all(axis=0)
+            cols, sets = cols[consistent], sets[consistent]
 
-        def value_at(rows: np.ndarray | slice, v: np.ndarray) -> np.ndarray:
-            return overridden(v, cols[rows], sets[rows])
+            def value_at(rows: np.ndarray | slice, v: np.ndarray) -> np.ndarray:
+                """S relabelled at the members of the base's orbit, the
+                Pareto set elsewhere."""
+                minima, theta = d.canonical(v)
+                return np.where(minima == cols[rows], unrelabel[theta, sets[rows]], pv[v])
 
         # The base rule and the override g.base -> g.S are equivariant under
         # the group, and so is every move family, so each violated constraint
         # touching the orbit is the image of one touching the base; and one
         # must touch an override, as the base rule satisfies every axiom.
+        # Likewise the one-profile override S at the base, single mode's,
+        # passes exactly when g.S at g.base does.  So the S accepted at a base
+        # are closed under the group elements that fix it, and any one element
+        # that takes the base to a member w (the inverse of the relabelling
+        # ``canonical`` gives for w) maps them onto the S accepted at w.
         accepted = ~local_violations(d, axiom_set, cols, sets, value_at)
         for k, s in zip(cols[accepted].tolist(), sets[accepted].tolist()):
-            members = orbit(k)
-            found.append(Deviation(
-                mode=mode,
-                profiles=tuple(d.profile_text(w) for w in members),
-                choice_sets=tuple(labels[x] for x in overridden(np.array(members), k, s).tolist()),
-            ))
+            found.setdefault(k, []).append(s)
         if left == 0:
             break
-    return found
+    listed = []  # per accepted base: its orbit members and, per member, each accepted S relabelled
+    for k, accepted_sets in found.items():
+        members = _orbit(d, k)
+        if cut is not None:
+            members = members[members <= cut[0]]  # no deviation past the cut is listed
+        thetas = d.canonical(members)[1]
+        listed.append((members, unrelabel[thetas[:, None], accepted_sets]))
+    labels = [d.universe.mask_labels(s) for s in range(1 << d.m)]
+    if mode == "orbit":
+        return [Deviation(mode, tuple(d.profile_text(w) for w in members.tolist()),
+                          tuple(labels[s] for s in choices.tolist()))
+                for members, table in listed for choices in table.T]
+    if not listed:
+        return []
+    # one key per deviation, profile << m | S, so one sort orders them by (profile, S)
+    keys = np.sort(np.concatenate([(members[:, None] << d.m | table).ravel()
+                                   for members, table in listed]))
+    if cut is not None:
+        keys = keys[keys <= cut[0] << d.m | cut[1]]
+    return [Deviation(mode, (d.profile_text(w),), (labels[s],))
+            for w, s in zip((keys >> d.m).tolist(), (keys & (1 << d.m) - 1).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 
 import pytest
@@ -30,6 +31,7 @@ from paretocheck.analysis import (
     CONSISTENT_EQUAL,
     THEOREM_CONTRADICTION,
 )
+from paretocheck.axioms import _orbit_minimum_candidates
 from paretocheck.core import permute_mask
 from paretocheck.rules import RULE_CATALOG, Correspondence, pareto_mask, tops_mask
 
@@ -323,10 +325,98 @@ def test_search_is_exact_at_4_2(mode, sizes):
 
 
 def test_orbit_search_rejects_eight_alternatives_before_any_table():
-    d = DomainIndex(8, 2)  # its Pareto table alone would take 1.6 GB
-    with pytest.raises(ValueError, match=r"\(8,2\) domain need a \(40320, 40320\) table"):
-        perturbation_search(d, ("pareto", "tops-in"), mode="orbit")
-    assert not {"pareto_table", "tops_table", "ordering_table"} & set(vars(d))
+    # both modes search orbit minima, so single mode raises as orbit mode does
+    for mode in ("single", "orbit"):
+        d = DomainIndex(8, 2)  # its Pareto table alone would take 1.6 GB
+        with pytest.raises(ValueError, match=r"\(8,2\) domain need a \(40320, 40320\) table"):
+            perturbation_search(d, ("pareto", "tops-in"), mode=mode)
+        assert not {"pareto_table", "tops_table", "ordering_table"} & set(vars(d)), mode
+
+
+def _single_candidates(d):
+    """Single mode's candidates in its order, (profile index, mask), ranked
+    by plain enumeration of the profiles and their choice sets."""
+    for k in range(d.total):
+        u = d.profile(k)
+        pk, tk = pareto_mask(u), tops_mask(u)
+        yield from ((k, s) for s in range(tk, pk) if not s & ~pk and not tk & ~s)
+
+
+def _pairs(d, devs):
+    """Each single-mode deviation as (profile index, mask)."""
+    return [(d.index(d.parse(dev.profiles[0])),
+             d.universe.mask_from_labels("".join(dev.choice_sets[0]))) for dev in devs]
+
+
+@pytest.mark.parametrize("axioms", [
+    pytest.param(("pareto", "tops-in"), id="every-candidate"),
+    pytest.param(("pareto", "tops-in", "balancedness"), id="balancedness"),
+])
+def test_single_search_budget_cuts_inside_a_profile(d43, axioms):
+    # a budget b cuts inside a profile's list of choice sets when candidates
+    # b - 1 and b share the profile; it keeps exactly the accepted candidates
+    # ranked before b.  With pareto and tops-in alone every one is accepted
+    candidates = list(_single_candidates(d43))
+    rank = {c: r for r, c in enumerate(candidates)}
+    full = perturbation_search(d43, axioms)
+    ranks = [rank[pair] for pair in _pairs(d43, full)]
+    assert ranks == sorted(ranks)
+    inside = [b for b in range(1, len(candidates)) if candidates[b - 1][0] == candidates[b][0]]
+    budgets = set()
+    for r in ranks[::max(1, len(ranks) // 8)] + ranks[-1:]:
+        at = bisect.bisect_right(inside, r)  # the cuts just before and just after r
+        budgets.update(inside[max(at - 1, 0):at + 1])
+    assert len(budgets) >= 10
+    for budget in sorted(budgets):
+        got = perturbation_search(d43, axioms, budget=budget)
+        assert got == [dev for dev, r in zip(full, ranks) if r < budget], budget
+
+
+def test_single_search_lists_no_further_than_its_budget(monkeypatch):
+    # every orbit minimum of (4,4) lies in its first 13,824 profiles, and this
+    # budget covers their candidates, so every base is checked and accepted;
+    # the listing must stop at the budget's last candidate rather than list
+    # the whole orbits, about 185,000 profiles
+    d = DomainIndex(4, 4)
+    last = int(d.memo(_orbit_minimum_candidates)[-1])
+    prefix = list(itertools.takewhile(lambda c: c[0] <= last, _single_candidates(d)))
+    seen = []
+    canonical = d.canonical
+
+    def counting(ks):
+        seen.append(len(ks))
+        return canonical(ks)
+
+    monkeypatch.setattr(d, "canonical", counting)
+    devs = perturbation_search(d, ("pareto", "tops-in"), budget=len(prefix))
+    assert _pairs(d, devs) == prefix
+    # the bases, then the listed members: each holds a candidate within budget
+    assert sum(seen) <= 2 * len(prefix) + 2 ** d.m
+
+
+@pytest.mark.parametrize("sizes, axioms, count", [
+    pytest.param((4, 3), ("balancedness",), 360, id="4x3"),
+    pytest.param((5, 2), ("balancedness", "weak-monotonicity"), 120, id="5x2"),
+])
+def test_single_search_is_closed_under_the_group(sizes, axioms, count):
+    # relabelling the alternatives or reordering the individuals maps each
+    # single-profile deviation to another one
+    d = DomainIndex(*sizes)
+    devs = perturbation_search(d, ("pareto", "tops-in", *axioms))
+    assert len(devs) == count
+    found = set(_pairs(d, devs))
+    for theta in itertools.permutations(range(d.m)):
+        for rho in itertools.permutations(range(d.n)):
+            image = {(d.index(apply_individual_permutation(
+                          apply_alternative_permutation(d.profile(k), theta), rho)),
+                      permute_mask(s, theta)) for k, s in found}
+            assert image == found, (theta, rho)
+
+
+def test_single_search_count_at_4_4():
+    devs = perturbation_search(DomainIndex(4, 4), ("pareto", "tops-in", "balancedness"))
+    assert len(devs) == 2472
+    assert all(len(dev.profiles) == 1 for dev in devs)
 
 
 def test_search_deviations_never_contradict_theorems(d43):

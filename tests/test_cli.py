@@ -256,11 +256,11 @@ print(json.dumps({"threads": threads, "pool": "concurrent.futures" in sys.module
 """
 
 
-def _probe(**env):
+def _probe(script=_THREAD_PROBE, **env):
     path = os.pathsep.join(filter(None, [str(Path(paretocheck.__file__).parents[1]),
                                          os.environ.get("PYTHONPATH")]))
     child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], check=True, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
                          text=True, env={**child, "PYTHONPATH": path, **env}).stdout
     return json.loads(out)
 
@@ -272,3 +272,20 @@ def test_fresh_process_runs_on_one_thread():
     if default["threads"] is None:
         pytest.skip("no /proc/self/status to count threads")
     assert default["threads"] == 1
+
+
+# np.unique imports numpy.ma on first use, about 10 ms and 1 MB in a fresh process
+_MA_PROBE = """
+import contextlib, io, json, sys
+from paretocheck.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["search", "--m", "4", "--n", "3", "--axioms", "pareto,tops-in,balancedness",
+                   "--mode", mode, "--budget", budget])
+             for mode in ("single", "orbit") for budget in ("100", "1000000")]
+print(json.dumps({"codes": codes, "ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_search_never_imports_numpy_ma():
+    out = _probe(_MA_PROBE)
+    assert out == {"codes": [1, 1, 1, 1], "ma": False}
