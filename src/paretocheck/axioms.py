@@ -6,18 +6,20 @@ minimal witness.  Canonical means the violation at the smallest profile
 index, breaking ties by smallest individual and then smallest alternative
 indices; the same witness is produced for any worker count.
 
-The sweep runs on one edge layer over a rule's whole-domain value table.
-Each move axiom is a move family plus an elementwise predicate on the
-choice sets at the two ends of a move.  There are four families: the
-one-individual adjacent swap (monotonicity, weak monotonicity and strong
-stability), the two-individual transposition (balancedness), the swap of
-two individuals (anonymity) and the swap of two labels (neutrality).  Each
-is described once, as moves on the digit grid of :meth:`DomainIndex.blocks`,
-and two evaluators read the descriptions: the sweep gathers along the axes
-of one block at a time, and the perturbation search follows the moves out of
-the profiles it overrides, running the predicates both ways.  For an
-anonymous and neutral rule the sweep is a quotient: the sparse evaluator runs
-on one candidate profile per orbit of relabellings and reorderings.
+The sweep runs on one edge layer over a rule's choice sets.  Each move
+axiom is a move family plus an elementwise predicate on the choice sets at
+the two ends of a move.  There are four families: the one-individual
+adjacent swap (monotonicity, weak monotonicity and strong stability), the
+two-individual transposition (balancedness), the swap of two individuals
+(anonymity) and the swap of two labels (neutrality).  Each is described
+once, as moves on the digit grid of :meth:`DomainIndex.blocks`, and two
+evaluators read the descriptions.  The dense one gathers along the axes of
+one block of a rule's whole-domain value table at a time.  The sparse one
+follows the moves out of given profiles, on the rule's fold evaluated at
+them and their moves' targets alone.  It serves the perturbation search,
+which runs the predicates both ways, and the sweeps of a rule whose default
+is anonymous and neutral: one candidate profile per orbit of relabellings
+and reorderings, then the profiles its overrides touch.
 
 An independent object-level oracle keeps the edge layer honest about what a
 violation is.  It is one table, ``_ORACLE``, giving each axiom a listing of
@@ -229,6 +231,19 @@ _EDGES: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+#: The unary axioms' sets: a choice set must lie within the first and contain
+#: the second.
+_UNARY: dict[str, Callable[[DomainIndex], core.Fold]] = {
+    "pareto": core.undominated,
+    "tops-in": core.top_choices,
+}
+
+
+def _unary_violations(axiom: str, gu: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Where the choice sets ``gu`` break ``axiom`` given its ``sets``."""
+    return ((gu & ~sets) if axiom == "pareto" else (sets & ~gu)) != 0
+
+
 def _moves_at(d: DomainIndex, moves: Sequence[_Move], ks: np.ndarray) -> Iterator[tuple]:
     """The sparse evaluator: the moves out of the profiles ``ks``, one move at
     a time, as ``(rows, v, a, b)``.  ``rows`` picks the rows of ``ks`` where
@@ -264,10 +279,8 @@ def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
     ``both_ways`` also flags constraints from a neighbour back to u, which,
     as every move family is an involution, are all constraints touching u.
     """
-    if axiom == "pareto":
-        return (gu & ~d.pareto_table[ks]) != 0
-    if axiom == "tops-in":
-        return (d.tops_table[ks] & ~gu) != 0
+    if axiom in _UNARY:
+        return _unary_violations(axiom, gu, d.evaluate(_UNARY[axiom](d), ks))
     family, bad = _EDGES[axiom]
     viol = np.zeros(len(ks), dtype=bool)
     for rows, v, a, b in _moves_at(d, d.memo(family), ks):
@@ -296,12 +309,11 @@ def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
     ``grid[index]`` of a rule's value table ``grid``, viewed as the digit grid
     (see :meth:`DomainIndex.blocks`).  Each move is a gather along the axes of
     the individuals it moves, and the targets of a fixed or partly covered
-    individual's moves are read from the whole table."""
+    individual's moves are read from the whole table.  The unary axioms fold
+    their sets over the block."""
     gu = grid[index]
-    if axiom == "pareto":
-        return (gu & ~d.pareto_table.reshape(grid.shape)[index]) != 0
-    if axiom == "tops-in":
-        return (d.tops_table.reshape(grid.shape)[index] & ~gu) != 0
+    if axiom in _UNARY:
+        return _unary_violations(axiom, gu, _UNARY[axiom](d)(d.block_fold(index)))
     bad = _EDGES[axiom][1]
     viol = np.zeros(gu.shape, dtype=bool)
     for mv in moves:
@@ -325,22 +337,28 @@ def _first_hit(chunks: Iterable, first: Callable[[object], int], workers: int) -
     """The first chunk's hit, or -1: ``first`` gives a chunk's smallest
     flagged profile index, or -1.  Chunks come in ascending profile order and
     their results are read in that order, so the hit is the smallest flagged
-    profile for any worker count; the chunks not yet started are cancelled.
-    One worker maps in this thread, with no pool."""
+    profile for any worker count.  Two chunks per worker are submitted ahead
+    of the one read, so after a hit the chunks not yet started are cancelled
+    and the rest never submitted.  One worker maps in this thread, with no
+    pool."""
     if workers == 1:
         return next((hit for hit in map(first, chunks) if hit >= 0), -1)
     from concurrent.futures import ThreadPoolExecutor  # only a pooled sweep pays for the import
 
+    chunks = iter(chunks)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for hit in pool.map(first, chunks):
+        window = [pool.submit(first, c) for c in itertools.islice(chunks, 2 * workers)]
+        while window:
+            hit = window.pop(0).result()
             if hit >= 0:
                 pool.shutdown(cancel_futures=True)
                 return hit
+            window += [pool.submit(first, c) for c in itertools.islice(chunks, 1)]
     return -1
 
 
 # ---------------------------------------------------------------------------
-# Quotient sweeps.  Relabelling the alternatives or reordering the individuals
+# Sparse sweeps.  Relabelling the alternatives or reordering the individuals
 # maps every move of every family above to a move of the same family, and
 # every predicate follows the relabelling.  So for an anonymous and neutral
 # rule each axiom's set of flagged profiles is a union of S_m x S_n orbits,
@@ -348,6 +366,11 @@ def _first_hit(chunks: Iterable, first: Callable[[object], int], workers: int) -
 # at ordering 0 (a relabelling takes any ordering there) and the other
 # individuals' orderings non-decreasing (reordering them sorts the digits).
 # The first flagged profile among those candidates is the sweep's hit.
+#
+# A table rule is such a default rule D plus overrides O.  When D passes,
+# every violated constraint has an end in O, so the profiles flagged are
+# among O and the targets of O's moves (each family being an involution,
+# these are every profile with a move into O).
 
 
 def _orbit_minimum_candidates(d: DomainIndex) -> np.ndarray:
@@ -364,16 +387,55 @@ def _orbit_minimum_candidates(d: DomainIndex) -> np.ndarray:
     return ks
 
 
-def _symmetric(G: Correspondence, d: DomainIndex, values: np.ndarray) -> bool:
-    """Whether ``G`` is anonymous and neutral on ``d``: its default rule's
-    catalog entry claims both, and no constraint of either touching an
-    override fails."""
+def _symmetric_default(G: Correspondence) -> Correspondence | None:
+    """``G``'s default rule alone, when its catalog entry claims anonymity
+    and neutrality, and None otherwise."""
     entry = RULE_CATALOG.get(G.default)
     if entry is None or not {"anonymity", "neutrality"} <= entry.expected_axioms:
-        return False
-    ks = np.array([d.index_orderings(key) for key in G.overrides], dtype=np.int64)
-    return not local_violations(d, ("anonymity", "neutrality"), ks, values[ks],
-                                lambda rows, v: values[v]).any()
+        return None
+    return Correspondence(G.universe, G.n, G.default) if G.overrides else G
+
+
+def _runs(ks: np.ndarray) -> Iterator[np.ndarray]:
+    """The profiles ``ks`` in runs of ``_CHUNK`` (read at call time)."""
+    return (ks[lo:lo + core._CHUNK] for lo in range(0, len(ks), core._CHUNK))
+
+
+def _sparse_hit(d: DomainIndex, axiom: str, G: Correspondence, ks: np.ndarray,
+                workers: int) -> int:
+    """The smallest of the ascending profiles ``ks`` flagged for ``axiom``
+    under ``G``, or -1; ``G`` is evaluated at ``ks`` and their moves' targets
+    alone."""
+    def first(ks: np.ndarray) -> int:
+        viol = violation_mask(d, axiom, ks, G.values_at(d, ks), lambda rows, v: G.values_at(d, v))
+        return int(ks[viol.argmax()]) if viol.any() else -1
+    return _first_hit(_runs(ks), first, workers)
+
+
+def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple[str, int]:
+    """The smallest profile flagged for ``axiom`` under ``G``, or -1, and the
+    path that found it: ``quotient`` (a symmetric rule on the orbit-minimum
+    candidates), ``overrides`` (a passing symmetric default, then the
+    profiles its overrides touch) or ``dense`` (every profile)."""
+    # the move family is memoised here, before the threads read it
+    moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
+    D = None if axiom in ("anonymity", "neutrality") else _symmetric_default(G)
+    if D is not None:
+        hit = _sparse_hit(d, axiom, D, d.memo(_orbit_minimum_candidates), workers)
+        if D is G:
+            return "quotient", hit
+        if hit < 0:
+            keys = G.override_index(d)[0]
+            touched = np.sort(np.concatenate([keys, *(v for _, v, _, _ in _moves_at(d, moves, keys))]))
+            touched = touched[np.diff(touched, prepend=-1) != 0]  # np.unique would import numpy.ma
+            return "overrides", _sparse_hit(d, axiom, G, touched, workers)
+    grid = G.value_table(d).reshape((d.order_count,) * d.n)
+
+    def first(block: tuple[int, tuple]) -> int:
+        lo, index = block
+        viol = _block_violations(d, axiom, moves, grid, index).ravel()
+        return lo + int(viol.argmax()) if viol.any() else -1
+    return "dense", _first_hit(d.blocks(), first, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -563,36 +625,21 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
     profile.  On failure ``profiles_scanned`` counts the profiles up to and
     including that profile; on a pass it is the domain size.
 
-    For an anonymous and neutral rule (see :func:`_symmetric`) the axioms
-    other than anonymity and neutrality are checked on one candidate profile
-    per orbit of relabellings and reorderings; every other check sweeps the
-    whole domain, block by block.  Both find the same smallest violating
-    profile, and both run their chunks on ``workers`` threads, so the report
-    is the same for any worker count.
+    Axioms other than anonymity and neutrality take a sparse path when the
+    rule's default D is in the catalog with claims of both.  D is checked on
+    one candidate profile per orbit of relabellings and reorderings, on its
+    fold evaluated there; without overrides that is the report.  When D
+    passes, the overrides are checked at their own profiles and at their
+    moves' targets, where every violation then lies.  Every other check
+    sweeps the rule's whole-domain value table, block by block.  All paths
+    find the same smallest violating profile, and all run their chunks on
+    ``workers`` threads, so the report is the same for any worker count.
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r} (choose from {', '.join(AXIOMS)})")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    values = G.value_table(d)
-    # the move family is memoised here, before the threads read it
-    moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
-    if axiom not in ("anonymity", "neutrality") and _symmetric(G, d, values):
-        candidates = d.memo(_orbit_minimum_candidates)
-        chunks = (candidates[lo:lo + core._CHUNK] for lo in range(0, len(candidates), core._CHUNK))
-
-        def first(ks: np.ndarray) -> int:
-            viol = violation_mask(d, axiom, ks, values[ks], lambda rows, v: values[v])
-            return int(ks[viol.argmax()]) if viol.any() else -1
-    else:
-        grid = values.reshape((d.order_count,) * d.n)
-        chunks = d.blocks()
-
-        def first(block: tuple[int, tuple]) -> int:
-            lo, index = block
-            viol = _block_violations(d, axiom, moves, grid, index).ravel()
-            return lo + int(viol.argmax()) if viol.any() else -1
-    hit = _first_hit(chunks, first, workers)
+    hit = _sweep(axiom, G, d, workers)[1]
     if hit < 0:
         return AxiomReport(axiom, "pass", None, d.total)
     witness = next(_violations(axiom, G, d, d.profile(hit)), None)
@@ -663,8 +710,17 @@ def check_neutrality(G: Correspondence, d: DomainIndex, *, workers: int = 1,
     return _first_violation("neutrality", G, d, wide=True)
 
 
+def _dense_first(G: Correspondence, d: DomainIndex, axioms: Sequence[str]) -> None:
+    """Build ``G``'s value table before ``axioms`` are checked when one of
+    them sweeps it whole (anonymity and neutrality always do), so the sparse
+    checks before that one read it too."""
+    if not {"anonymity", "neutrality"}.isdisjoint(axioms):
+        G.value_table(d)
+
+
 def check_axioms(G: Correspondence, d: DomainIndex, axioms: Sequence[str] = AXIOMS,
                  *, workers: int = 1) -> list[AxiomReport]:
+    _dense_first(G, d, axioms)
     return [check_axiom(a, G, d, workers=workers) for a in axioms]
 
 
@@ -701,6 +757,7 @@ def axiom_matrix(rules: Sequence[Correspondence], axioms: Sequence[str],
     """Every requested axiom checked against every rule, in a fixed order."""
     reports: dict[str, dict[str, AxiomReport]] = {}
     for G in rules:
+        _dense_first(G, d, axioms)
         reports[G.name] = {a: check_axiom(a, G, d, workers=workers) for a in axioms}
     return MatrixResult(d.m, d.n, tuple(G.name for G in rules), tuple(axioms), reports)
 

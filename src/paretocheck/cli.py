@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .core import DomainIndex, ParseError, parse_profile
 from .rules import Correspondence, load_table, make_rule
-from .axioms import AXIOMS, axiom_matrix, check_axiom
+from .axioms import AXIOMS, axiom_matrix, check_axioms
 from .analysis import (
     THEOREM_AXIOMS,
     THEOREM_M,
@@ -175,7 +175,7 @@ def _cmd_check(args) -> int:
     axioms = _parse_axioms(args.axioms)
     _guard_domain(rule.m, rule.n, args.max_domain)
     d = DomainIndex(rule.m, rule.n, rule.universe.labels)
-    reports = [check_axiom(a, rule, d, workers=args.workers) for a in axioms]
+    reports = check_axioms(rule, d, axioms, workers=args.workers)
     payload = {"rule": rule.name, "m": rule.m, "n": rule.n,
                "reports": [r.to_json() for r in reports]}
     _emit(args, payload, "\n".join(r.summary() for r in reports))

@@ -35,6 +35,11 @@ _LABEL_POOL = "abcdefgh"
 #: An ordering is a tuple of alternative indices, rank 1 first.
 Ordering = tuple[int, ...]
 
+#: A rule as a fold: ``f(fold)`` gives its choice-set masks from reductions
+#: of per-ordering columns, the same for `DomainIndex.tabulate` over
+#: the whole domain and `DomainIndex.evaluate` at some profiles.
+Fold = Callable[[Callable[..., np.ndarray]], np.ndarray]
+
 
 def default_labels(m: int) -> str:
     """Default display labels: 'a' for alternative 0, 'b' for 1, and so on."""
@@ -462,16 +467,17 @@ class DomainIndex:
 
     @cached_property
     def above_table(self) -> np.ndarray:
-        """(m!, m) uint32: mask of alternatives ranked above each alternative."""
-        tbl = self.ordering_table
+        """(m!, m) uint8: mask of alternatives ranked above each alternative
+        (m <= 8, so a mask fits)."""
+        tbl = self.ordering_table.view(np.uint8)
         count = tbl.shape[0]
-        out = np.zeros((count, self.m), dtype=np.uint32)
+        out = np.zeros((count, self.m), dtype=np.uint8)
         rows = np.arange(count)
-        cum = np.zeros(count, dtype=np.uint32)
+        cum = np.zeros(count, dtype=np.uint8)
         for p in range(self.m):
-            col = tbl[:, p].astype(np.uint32)
+            col = tbl[:, p]
             out[rows, col] = cum
-            cum = cum | (np.uint32(1) << col)
+            cum = cum | (np.uint8(1) << col)
         return out
 
     @cached_property
@@ -648,7 +654,14 @@ class DomainIndex:
         shape[i] = -1
         return (column[index[i]] if i < len(index) else column).reshape(shape)
 
-    def tabulate(self, f: Callable[[Callable[..., np.ndarray]], np.ndarray]) -> np.ndarray:
+    def block_fold(self, index: tuple[slice, ...]) -> Callable[..., np.ndarray]:
+        """The ``fold`` of :meth:`tabulate` over the block at ``index``."""
+        def fold(op: np.ufunc, column: np.ndarray,
+                 individuals: Sequence[int] = range(self.n)) -> np.ndarray:
+            return reduce(op, (self.on_axis(index, i, column) for i in individuals))
+        return fold
+
+    def tabulate(self, f: Fold) -> np.ndarray:
         """(total,) uint8 whole-domain table, built as folds over the digit grid.
 
         The table is filled one block of :meth:`blocks` at a time.  ``f(fold)``
@@ -668,35 +681,55 @@ class DomainIndex:
                              "more than can be allocated") from None
         grid = out.reshape((self.order_count,) * self.n)
         for _, index in self.blocks():
-            def fold(op: np.ufunc, column: np.ndarray,
-                     individuals: Sequence[int] = range(self.n)) -> np.ndarray:
-                return reduce(op, (self.on_axis(index, i, column) for i in individuals))
+            grid[index] = f(self.block_fold(index))
+        return out
 
-            grid[index] = f(fold)
+    def evaluate(self, f: Fold, ks: np.ndarray) -> np.ndarray:
+        """(len(ks),) uint8: the masks of :meth:`tabulate`'s ``f`` at the
+        profile indices ``ks`` alone.  Here ``fold`` reduces each individual's
+        column gathered at its orderings in ``ks``."""
+        digits = [self.digit(i, ks) for i in range(self.n)]
+
+        def fold(op: np.ufunc, column: np.ndarray,
+                 individuals: Sequence[int] = range(self.n)) -> np.ndarray:
+            return reduce(op, (column[digits[i]] for i in individuals))
+        out = np.empty(len(ks), dtype=np.uint8)
+        out[...] = f(fold)
         return out
 
     @cached_property
     def pareto_table(self) -> np.ndarray:
         """(total,) uint8: mask of undominated alternatives at every profile."""
-        above = self.above_table.astype(np.uint8)  # m <= 8, so a mask fits
-
-        def undominated(fold: Callable[..., np.ndarray]) -> np.ndarray:
-            mask = np.uint8(self.universe.full_mask)
-            for x in range(self.m):
-                dominated = fold(np.bitwise_and, above[:, x]) != 0
-                mask = mask ^ (dominated.view(np.uint8) << np.uint8(x))
-            return mask
-        table = self.tabulate(undominated)
+        table = self.tabulate(undominated(self))
         table.flags.writeable = False  # rule value tables share it
         return table
 
     @cached_property
     def tops_table(self) -> np.ndarray:
         """(total,) uint8: mask of top-ranked alternatives at every profile."""
-        bits = np.uint8(1) << self.top_table.astype(np.uint8)
-        table = self.tabulate(lambda fold: fold(np.bitwise_or, bits))
+        table = self.tabulate(top_choices(self))
         table.flags.writeable = False  # rule value tables share it
         return table
+
+
+def undominated(d: DomainIndex) -> Fold:
+    """The undominated alternatives: y is dominated where the alternatives
+    every individual ranks above it meet."""
+    above, full = d.above_table, np.uint8(d.universe.full_mask)
+
+    def masks(fold: Callable[..., np.ndarray]) -> np.ndarray:
+        mask = full
+        for x in range(d.m):
+            dominated = fold(np.bitwise_and, above[:, x]) != 0
+            mask = mask ^ (dominated.view(np.uint8) << np.uint8(x))
+        return mask
+    return masks
+
+
+def top_choices(d: DomainIndex) -> Fold:
+    """The alternatives some individual ranks first."""
+    bits = np.uint8(1) << d.top_table.view(np.uint8)
+    return lambda fold: fold(np.bitwise_or, bits)
 
 
 #: Largest m whose (m!, m!) table of relabelled orderings is built; at m = 8

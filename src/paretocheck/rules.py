@@ -6,8 +6,10 @@ the axioms it is claimed to pass and to fail.
 A :class:`Correspondence` maps every profile of its ``(m, n)`` domain to a
 non-empty choice set.  It is either a named rule or a table: a default named
 rule plus a finite map of per-profile overrides.  Named rules evaluate one
-profile at a time through :func:`evaluate` and produce whole-domain value
-tables (one uint8 mask per profile index) for the sweep checkers.
+profile at a time through :func:`evaluate`.  For the sweep checkers each is
+also one fold over the orderings' columns, which gives either its
+whole-domain value table (one uint8 mask per profile index) or its masks at
+an array of profile indices alone.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from .core import (
     ChoiceSet,
     DomainIndex,
+    Fold,
     Ordering,
     Profile,
     Universe,
@@ -31,6 +34,8 @@ from .core import (
     apply_individual_permutation,
     parse_profile,
     permute_mask,
+    top_choices,
+    undominated,
 )
 
 # ---------------------------------------------------------------------------
@@ -180,25 +185,18 @@ def constant_all(u: Profile) -> ChoiceSet:
 
 
 # ---------------------------------------------------------------------------
-# Whole-domain value tables
+# Rules as folds over the orderings' columns (see ``core.Fold``); the Pareto
+# and tops folds are ``core.undominated`` and ``core.top_choices``.
 
 
-def _table_tops(d: DomainIndex) -> np.ndarray:
-    return d.tops_table
-
-
-def _table_pareto(d: DomainIndex) -> np.ndarray:
-    return d.pareto_table
-
-
-def _table_all(d: DomainIndex) -> np.ndarray:
+def _fold_all(d: DomainIndex) -> Fold:
     full = np.uint8(d.universe.full_mask)
-    return d.tabulate(lambda fold: full)
+    return lambda fold: full
 
 
-def _table_dictator(d: DomainIndex, i: int) -> np.ndarray:
-    bits = np.uint8(1) << d.top_table.astype(np.uint8)
-    return d.tabulate(lambda fold: fold(np.bitwise_or, bits, (i,)))
+def _fold_dictator(d: DomainIndex, i: int) -> Fold:
+    bits = np.uint8(1) << d.top_table.view(np.uint8)
+    return lambda fold: fold(np.bitwise_or, bits, (i,))
 
 
 def _maximizers(scores: Sequence[np.ndarray]) -> np.ndarray:
@@ -211,37 +209,39 @@ def _maximizers(scores: Sequence[np.ndarray]) -> np.ndarray:
     return mask
 
 
-def _table_borda(d: DomainIndex) -> np.ndarray:
+def _fold_borda(d: DomainIndex) -> Fold:
     points = (d.m - 1 - d.rank_table).astype(np.int16)  # (m!, m)
-    return d.tabulate(lambda fold: _maximizers(
-        [fold(np.add, points[:, x]) for x in range(d.m)]))
+    return lambda fold: _maximizers([fold(np.add, points[:, x]) for x in range(d.m)])
 
 
-def _table_plurality(d: DomainIndex) -> np.ndarray:
-    top = d.top_table
-    return d.tabulate(lambda fold: _maximizers(
-        [fold(np.add, (top == x).astype(np.int16)) for x in range(d.m)]))
+def _fold_plurality(d: DomainIndex) -> Fold:
+    firsts = [(d.top_table == x).astype(np.int16) for x in range(d.m)]
+    return lambda fold: _maximizers([fold(np.add, first) for first in firsts])
 
 
-def _table_copeland(d: DomainIndex) -> np.ndarray:
-    rank = d.rank_table
+def _fold_copeland(d: DomainIndex) -> Fold:
+    pairs = [(x, y, (d.rank_table[:, x] < d.rank_table[:, y]).astype(np.int16))
+             for x, y in itertools.combinations(range(d.m), 2)]
 
     def scores(fold: Callable[..., np.ndarray]) -> np.ndarray:
         net: list = [0] * d.m
-        for x, y in itertools.combinations(range(d.m), 2):
-            ahead = fold(np.add, (rank[:, x] < rank[:, y]).astype(np.int16))
-            margin = np.sign(2 * ahead - d.n)  # +1: x beats y, -1: y beats x
+        for x, y, ahead in pairs:
+            margin = np.sign(2 * fold(np.add, ahead) - d.n)  # +1: x beats y, -1: y beats x
             net[x] = net[x] + margin
             net[y] = net[y] - margin
         return _maximizers(net)
-    return d.tabulate(scores)
+    return scores
 
 
-def _table_drop_one(d: DomainIndex, t: int) -> np.ndarray:
-    base = d.pareto_table
-    bit = np.uint8(1 << t)
-    dropped = base & np.uint8(~np.uint8(bit) & 0xFF)
-    return np.where(base == bit, base, np.where(dropped != 0, dropped, base)).astype(np.uint8)
+def _fold_drop_one(d: DomainIndex, t: int) -> Fold:
+    """The undominated set without t, unless t is all of it."""
+    pareto, keep = undominated(d), np.uint8(~(1 << t) & 0xFF)
+
+    def masks(fold: Callable[..., np.ndarray]) -> np.ndarray:
+        base = pareto(fold)
+        dropped = base & keep
+        return np.where(dropped != 0, dropped, base)
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ class Correspondence:
         self.default = default
         self.overrides: dict[tuple[Ordering, ...], int] = dict(overrides or {})
         self.name = name or (default if not self.overrides else f"table({default})")
-        self._choose_base, self._table_base = _resolve_base(default, universe, n)
+        self._choose_base, self._fold = _resolve_base(default, universe, n)
         full = universe.full_mask
         for key, mask in self.overrides.items():
             if len(key) != n:
@@ -329,6 +329,7 @@ class Correspondence:
             if not 0 < mask <= full:
                 raise ValueError(f"override value must be a non-empty subset mask, got {mask}")
         self._tables: dict[tuple[int, int, str], np.ndarray] = {}
+        self._override_at: dict[tuple[int, int, str], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def m(self) -> int:
@@ -364,14 +365,51 @@ class Correspondence:
         key = (d.m, d.n, d.universe.labels)
         table = self._tables.get(key)
         if table is None:
-            table = self._table_base(d)
-            if self.overrides:  # the base table may be the domain's own, read-only
+            if isinstance(self._fold, Correspondence):  # an example's rule
+                table = self._fold.value_table(d)
+            elif self.default in ("pareto", "tops"):
+                table = getattr(d, f"{self.default}_table")  # the domain's own, read-only
+            else:
+                table = d.tabulate(self._fold(d))
+            if self.overrides:
                 table = table.copy()
-            for orderings, mask in self.overrides.items():
-                table[d.index_orderings(orderings)] = mask
+                ks, masks = self.override_index(d)
+                table[ks] = masks
             table.flags.writeable = False
             self._tables[key] = table
         return table
+
+    def values_at(self, d: DomainIndex, ks: np.ndarray) -> np.ndarray:
+        """(len(ks),) uint8 masks at the profile indices ``ks``: read from the
+        value table once it is built, and otherwise the default rule's fold
+        evaluated at ``ks`` alone, with the overrides looked up among their
+        sorted indices."""
+        self._check_domain(d)
+        table = self._tables.get((d.m, d.n, d.universe.labels))
+        if table is not None:
+            return table[ks]
+        if isinstance(self._fold, Correspondence):
+            out = self._fold.values_at(d, ks)
+        else:
+            out = d.evaluate(self._fold(d), ks)
+        if self.overrides:
+            keys, masks = self.override_index(d)
+            at = np.minimum(np.searchsorted(keys, ks), len(keys) - 1)
+            hit = keys[at] == ks
+            out[hit] = masks[at[hit]]
+        return out
+
+    def override_index(self, d: DomainIndex) -> tuple[np.ndarray, np.ndarray]:
+        """The overridden profiles' indices on ``d``, ascending, and their
+        masks; cached per domain."""
+        key = (d.m, d.n, d.universe.labels)
+        found = self._override_at.get(key)
+        if found is None:
+            ks = np.array([d.index_orderings(o) for o in self.overrides], dtype=np.int64)
+            order = np.argsort(ks)
+            masks = np.array(list(self.overrides.values()), dtype=np.uint8)
+            found = self._override_at[key] = ks[order], masks[order]
+        return found
 
     def deviation_indices(self, d: DomainIndex) -> np.ndarray:
         """Indices where this rule differs from the undominated-set rule."""
@@ -401,14 +439,16 @@ def evaluate(G: Correspondence, u: Profile) -> ChoiceSet:
 
 
 def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
-        Callable[[Profile], int], Callable[[DomainIndex], np.ndarray]]:
-    simple: dict[str, tuple[Callable[[Profile], int], Callable[[DomainIndex], np.ndarray]]] = {
-        "pareto": (pareto_mask, _table_pareto),
-        "tops": (tops_mask, _table_tops),
-        "borda": (borda_mask, _table_borda),
-        "plurality": (plurality_mask, _table_plurality),
-        "copeland": (copeland_mask, _table_copeland),
-        "all": (lambda u: u.universe.full_mask, _table_all),
+        Callable[[Profile], int], Callable[[DomainIndex], Fold] | Correspondence]:
+    """A default rule: its mask at one profile, and its fold on a domain, or
+    for an example the example's own correspondence."""
+    simple: dict[str, tuple[Callable[[Profile], int], Callable[[DomainIndex], Fold]]] = {
+        "pareto": (pareto_mask, undominated),
+        "tops": (tops_mask, top_choices),
+        "borda": (borda_mask, _fold_borda),
+        "plurality": (plurality_mask, _fold_plurality),
+        "copeland": (copeland_mask, _fold_copeland),
+        "all": (lambda u: u.universe.full_mask, _fold_all),
     }
     if name in simple:
         return simple[name]
@@ -417,17 +457,17 @@ def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
         i = int(match.group(1)) - 1
         if not 0 <= i < n:
             raise ValueError(f"rule {name!r} needs an individual in 1..{n}")
-        return (lambda u: 1 << u.orderings[i][0]), (lambda d: _table_dictator(d, i))
+        return (lambda u: 1 << u.orderings[i][0]), (lambda d: _fold_dictator(d, i))
     match = _DROP_RE.match(name)
     if match:
         t = universe.index(match.group(1))
-        return (lambda u: _drop_one_mask(u, t)), (lambda d: _table_drop_one(d, t))
+        return (lambda u: _drop_one_mask(u, t)), (lambda d: _fold_drop_one(d, t))
     if name.startswith("example:"):
         inner = make_rule(name, universe.m, n)
         if inner.universe != universe:
             raise ValueError(f"rule {name!r} uses universe {inner.universe.labels!r}, "
                              f"not {universe.labels!r}")
-        return inner.choose_mask, inner.value_table
+        return inner.choose_mask, inner
     raise ValueError(f"unknown rule {name!r}")
 
 

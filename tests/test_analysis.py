@@ -1,6 +1,7 @@
 import bisect
 import itertools
 
+import numpy as np
 import pytest
 
 from paretocheck import (
@@ -24,6 +25,7 @@ from paretocheck import (
     tops_union,
     verify_theorem,
 )
+from paretocheck import analysis, axioms
 from paretocheck.analysis import (
     _claim_checks,
     CONSISTENT_COUNTEREXAMPLE,
@@ -171,6 +173,32 @@ def test_theorem_example_counterexamples(d43xyzw, d53paper):
     d52 = DomainIndex(5, 2, "xyzwt")
     r = verify_theorem(4, example_rule(8), d52)
     assert r.verdict == CONSISTENT_COUNTEREXAMPLE and r.failing_axiom == "strong-stability"
+
+
+def test_theorem_builds_no_whole_domain_table(d43):
+    # a symmetric default is checked and compared with the undominated set on
+    # its orbit-minimum candidates, and its overrides where they touch
+    table = Correspondence(d43.universe, d43.n, overrides={
+        d43.profile(k).orderings: int(d43.tops_table[k]) for k in (5, 700, 9000)})
+    for G in (make_rule("pareto", 4, 3), make_rule("borda", 4, 3), table):
+        d = DomainIndex(4, 3)
+        result = verify_theorem(3, G, d)
+        assert "pareto_table" not in vars(d) and "tops_table" not in vars(d), G.name
+        assert G._tables == {}, G.name
+        with pytest.MonkeyPatch.context() as dense:
+            dense.setattr(axioms, "_symmetric_default", lambda G: None)
+            dense.setattr(analysis, "_symmetric_default", lambda G: None)
+            assert verify_theorem(3, G, d) == result, G.name
+
+
+def test_theorem_table_equal_to_pareto_over_another_default(d33):
+    # tops overridden by the undominated set wherever the two differ is the
+    # Pareto rule, though its default is not
+    keys = np.flatnonzero(d33.tops_table != d33.pareto_table).tolist()
+    G = Correspondence(d33.universe, d33.n, "tops",
+                       {d33.profile(k).orderings: int(d33.pareto_table[k]) for k in keys})
+    result = verify_theorem(2, G, DomainIndex(3, 3))
+    assert result.verdict == CONSISTENT_EQUAL and result.matches_pareto
 
 
 def test_theorem_size_mismatch(d33):

@@ -38,7 +38,6 @@ from paretocheck.axioms import (
     _moves_at,
     _orbit_minimum_candidates,
     _sites_transpositions,
-    _symmetric,
     _transpositions,
     violation_mask,
 )
@@ -442,11 +441,32 @@ def test_orbit_minimum_candidates_hold_every_orbit_minimum(sizes):
     assert set(minima) <= set(ks.tolist())
 
 
+def expected_path(axiom, G, d):
+    """The sweep check_axiom should take: the quotient for a rule in the
+    catalog with claims of anonymity and neutrality, the split into default
+    and overrides over such a default that passes, and otherwise dense."""
+    entry = RULE_CATALOG.get(G.default)
+    if axiom in ("anonymity", "neutrality") or entry is None \
+            or not {"anonymity", "neutrality"} <= entry.expected_axioms:
+        return "dense"
+    if not G.overrides:
+        return "quotient"
+    D = Correspondence(G.universe, G.n, G.default)
+    return "overrides" if check_axiom(axiom, D, d).passed else "dense"
+
+
+def force_dense(monkeypatch):
+    monkeypatch.setattr(axioms, "_symmetric_default", lambda G: None)
+
+
 @pytest.mark.parametrize("sizes", GP_SIZES + ((3, 4), (4, 4)), ids=lambda s: "%dx%d" % s)
 def test_quotient_and_full_sweeps_agree(sizes, monkeypatch):
     d = DomainIndex(*sizes)
     rules = [make_rule(name, *sizes) for name in SYMMETRIC]
     rules += [orbit_closed_table(d, seed) for seed in range(3)]
+    for G in rules:
+        for axiom in QUOTIENT_AXIOMS:
+            assert axioms._sweep(axiom, G, d, 1)[0] == expected_path(axiom, G, d), (G.name, axiom)
     chunks = (7, core._CHUNK) if d.total <= 20_000 else (core._CHUNK,)
     # the smallest chunk also runs on 2 and 3 threads: its failing sweeps
     # span many chunks, and the hit must be the first chunk's
@@ -455,14 +475,14 @@ def test_quotient_and_full_sweeps_agree(sizes, monkeypatch):
     for chunk, workers in runs:
         monkeypatch.setattr(core, "_CHUNK", chunk)
         for G in rules:
-            assert _symmetric(G, d, G.value_table(d)), G.name
             for axiom in QUOTIENT_AXIOMS:
                 rep = check_axiom(axiom, G, d, workers=workers)
                 got[chunk, workers, G.name, axiom] = json.dumps(rep.to_json())
     monkeypatch.setattr(core, "_CHUNK", chunks[-1])
-    monkeypatch.setattr(axioms, "_symmetric", lambda G, d, values: False)
+    force_dense(monkeypatch)
     for G in rules:
         for axiom in QUOTIENT_AXIOMS:
+            assert axioms._sweep(axiom, G, d, 1)[0] == "dense"
             want = json.dumps(check_axiom(axiom, G, d).to_json())
             for chunk, workers in runs:
                 assert got[chunk, workers, G.name, axiom] == want, (sizes, chunk, workers, G.name, axiom)
@@ -474,14 +494,16 @@ def test_quotient_and_full_sweeps_agree_on_symmetric_examples(monkeypatch):
              example_rule(5, "orbit"), example_rule(8, "neutral")]
     for G in rules:
         d = DomainIndex(G.m, G.n, G.universe.labels)
-        assert _symmetric(G, d, G.value_table(d)), G.name
+        # the overridden examples lie over the Pareto rule, which passes
+        path = "overrides" if G.overrides else "quotient"
+        assert [axioms._sweep(axiom, G, d, 1)[0] for axiom in QUOTIENT_AXIOMS] == [path] * 6
         got = [check_axiom(axiom, G, d).to_json() for axiom in QUOTIENT_AXIOMS]
         with monkeypatch.context() as full:
-            full.setattr(axioms, "_symmetric", lambda G, d, values: False)
+            force_dense(full)
             assert got == [check_axiom(axiom, G, d).to_json() for axiom in QUOTIENT_AXIOMS], G.name
 
 
-def test_asymmetric_rules_take_the_full_sweep(random_table):
+def test_sweep_paths_of_asymmetric_rules(random_table):
     d = DomainIndex(3, 3)
     # relabellings of one profile, chosen as a whole: neutral, not anonymous
     u = d.parse("abc|bca|abc")
@@ -490,18 +512,59 @@ def test_asymmetric_rules_take_the_full_sweep(random_table):
         for theta in enumerate_orderings(d.m)})
     assert check_neutrality(neutral, d).passed and not check_anonymity(neutral, d).passed
     d53 = DomainIndex(5, 3, "xyzwt")
-    for G, dom in [(make_rule("dictator:1", 3, 3), d), (neutral, d), (example_rule(9), d53)]:
-        assert not _symmetric(G, dom, G.value_table(dom)), G.name
-    # detection is exact: a random table is symmetric iff it is anonymous and
-    # neutral (an override can repeat the default's value)
+    # a default with no symmetry claim sweeps densely; overrides over the
+    # Pareto rule, symmetric or not, are checked where they touch
+    for G, dom, path in [(make_rule("dictator:1", 3, 3), d, "dense"), (neutral, d, "overrides"),
+                         (example_rule(9), d53, "overrides")]:
+        assert axioms._sweep("balancedness", G, dom, 1)[0] == path, G.name
     tables = [random_table(d, seed) for seed in range(8)]
-    detected = [_symmetric(G, d, G.value_table(d)) for G in tables]
-    assert detected == [check_anonymity(G, d).passed and check_neutrality(G, d).passed
-                        for G in tables]
-    assert detected.count(False) >= 4
+    assert sum(not (check_anonymity(G, d).passed and check_neutrality(G, d).passed)
+               for G in tables) >= 4
     for G in [make_rule("dictator:1", 3, 3), neutral] + tables:
-        for axiom in QUOTIENT_AXIOMS:
+        for axiom in AXIOMS:
+            assert axioms._sweep(axiom, G, d, 1)[0] == expected_path(axiom, G, d), (G.name, axiom)
             assert check_axiom(axiom, G, d) == check_axiom_reference(axiom, G, d), (G.name, axiom)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 2), (3, 4)], ids=lambda s: "%dx%d" % s)
+def test_override_split_matches_dense_and_reference(sizes, monkeypatch):
+    # random overrides over every symmetric default; the defaults that fail an
+    # axiom take the dense sweep for it, the others the split
+    d = DomainIndex(*sizes)
+    rng = np.random.default_rng(sum(sizes))
+    pareto, tops = d.pareto_table, d.tops_table
+    tables = []
+    for default in SYMMETRIC:
+        for within in (False, True):
+            overrides = {}
+            for k in rng.choice(d.total, size=3, replace=False).tolist():
+                mask = int(rng.integers(1, 1 << d.m))
+                if within:  # between the tops and the undominated set
+                    mask = int(tops[k]) | (mask & int(pareto[k]))
+                overrides[d.profile(k).orderings] = mask
+            tables.append(Correspondence(d.universe, d.n, default, overrides,
+                                         name=f"{default}:{within}"))
+    paths = set()
+    for G in tables:
+        for axiom in AXIOMS:
+            path = axioms._sweep(axiom, G, d, 1)[0]
+            assert path == expected_path(axiom, G, d), (G.name, axiom)
+            paths.add(path)
+    assert paths == {"overrides", "dense"}
+    got = {}
+    for chunk, workers in [(7, 1), (7, 2), (core._CHUNK, 1)]:
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        for G in tables:
+            for axiom in AXIOMS:
+                got[chunk, workers, G.name, axiom] = check_axiom(axiom, G, d, workers=workers)
+    force_dense(monkeypatch)
+    for G in tables:
+        for axiom in AXIOMS:
+            want = check_axiom(axiom, G, d)
+            if d.total <= 600 and axiom in QUOTIENT_AXIOMS:
+                assert want == check_axiom_reference(axiom, G, d), (G.name, axiom)
+            for key in [(7, 1), (7, 2), (core._CHUNK, 1)]:
+                assert got[key + (G.name, axiom)] == want, (key, G.name, axiom)
 
 
 @pytest.mark.parametrize("sizes", GP_SIZES, ids=lambda s: "%dx%d" % s)

@@ -289,3 +289,18 @@ print(json.dumps({"codes": codes, "ma": "numpy.ma" in sys.modules}))
 def test_search_never_imports_numpy_ma():
     out = _probe(_MA_PROBE)
     assert out == {"codes": [1, 1, 1, 1], "ma": False}
+
+
+_MA_THEOREM_PROBE = """
+import contextlib, io, json, sys
+from paretocheck.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["theorem", "4", "--rule", "example:9", "--n", "3"]),
+             main(["theorem", "4", "--rule", "example:8-neutral"])]
+print(json.dumps({"codes": codes, "ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_override_checks_never_import_numpy_ma():
+    # the profiles a rule's overrides touch are deduplicated without np.unique
+    assert _probe(_MA_THEOREM_PROBE) == {"codes": [1, 1], "ma": False}

@@ -134,10 +134,11 @@ def test_largest_domains_within_int64_construct():
 
 
 def test_whole_domain_table_rejects_unallocatable_size():
-    # 5040**3 profiles fit in int64, but the 128 GB table cannot be allocated
+    # 5040**3 profiles fit in int64, but the 128 GB table cannot be allocated;
+    # a dictator is not symmetric, so its sweep needs its whole value table
     with pytest.raises(ValueError, match=r"\(7,3\) domain has 128024064000 profiles.*"
                                          r"needs 128024064000 bytes"):
-        check_axiom("tops-in", make_rule("tops", 7, 3), DomainIndex(7, 3))
+        check_axiom("tops-in", make_rule("dictator:1", 7, 3), DomainIndex(7, 3))
 
 
 # -- ranks and dominance -----------------------------------------------------

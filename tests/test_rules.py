@@ -21,7 +21,14 @@ from paretocheck import (
     tops_union,
 )
 from paretocheck import core
-from paretocheck.rules import RULE_CATALOG, Correspondence, restricted_pair_profiles, tail_orderings_for_anchored_pair
+from paretocheck.axioms import _orbit_minimum_candidates
+from paretocheck.rules import (
+    EXAMPLES,
+    RULE_CATALOG,
+    Correspondence,
+    restricted_pair_profiles,
+    tail_orderings_for_anchored_pair,
+)
 
 
 # -- single-profile rule values ----------------------------------------------
@@ -137,6 +144,30 @@ def test_value_tables_match_choose_mask_everywhere(sizes, monkeypatch):
         d = DomainIndex(m, n)
         for name in names:
             assert make_rule(name, m, n).value_table(d).tolist() == want[name], (sizes, chunk, name)
+
+
+def test_values_at_equals_the_value_table(random_table):
+    # values_at folds the default rule at the given profiles alone, until the
+    # value table is built, and reads the table after
+    cases = [(make_rule(name, m, n), DomainIndex(m, n)) for name in RULE_CATALOG
+             for m, n in [(3, 3), (4, 3)]]
+    for name, entry in EXAMPLES.items():
+        G = make_rule(name, *entry.claim_size)
+        cases.append((G, DomainIndex(G.m, G.n, G.universe.labels)))
+    d33 = DomainIndex(3, 3)
+    cases += [(random_table(d33, seed), d33) for seed in range(6)]
+    xyz = DomainIndex(3, 3, "xyz")
+    cases.append((load_table({"m": 3, "n": 3, "labels": "xyz", "default": "example:4",
+                              "overrides": {"xyz|xyz|zyx": ["z"]}}), xyz))
+    rng = np.random.default_rng(0)
+    for G, d in cases:
+        fresh = Correspondence(G.universe, G.n, G.default, G.overrides, G.name)
+        keys = fresh.override_index(d)[0]
+        ks = np.concatenate([rng.integers(0, d.total, 500), _orbit_minimum_candidates(d), keys])
+        got = fresh.values_at(d, ks)
+        assert fresh._tables == {}, G.name
+        assert np.array_equal(got, fresh.value_table(d)[ks]), G.name
+        assert np.array_equal(fresh.values_at(d, ks), got), G.name
 
 
 def test_evaluate_dispatch(d32):
