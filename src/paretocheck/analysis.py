@@ -28,8 +28,7 @@ from .axioms import (
     AXIOMS,
     AxiomReport,
     _orbit_minimum_candidates,
-    _runs,
-    _symmetric_default,
+    _sweep,
     check_axiom,
     local_violations,
     replay_witness,
@@ -186,6 +185,8 @@ def verify_theorem(k: int, G: Correspondence, d: DomainIndex, *, workers: int = 
     the rules coincide (consistent-equal); some axiom fails
     (consistent-counterexample); or the axioms hold yet the rules differ,
     which the characterization says must never happen (THEOREM-CONTRADICTION).
+    The comparison is one more sweep condition, ``equals-pareto``, so it
+    takes the checks' paths and runs on ``workers`` threads like them.
     """
     if k not in THEOREM_AXIOMS:
         raise ValueError(f"unknown theorem {k} (supported: 1..4)")
@@ -199,28 +200,9 @@ def verify_theorem(k: int, G: Correspondence, d: DomainIndex, *, workers: int = 
         if not rep.passed:
             return TheoremResult(k, G.name, d.m, d.n, CONSISTENT_COUNTEREXAMPLE,
                                  axiom, tuple(reports), None)
-    equal = _equals_pareto(G, d)
+    equal = _sweep("equals-pareto", G, d, workers)[1] < 0
     verdict = CONSISTENT_EQUAL if equal else THEOREM_CONTRADICTION
     return TheoremResult(k, G.name, d.m, d.n, verdict, None, tuple(reports), equal)
-
-
-def _equals_pareto(G: Correspondence, d: DomainIndex) -> bool:
-    """Whether ``G`` chooses the undominated set at every profile.  A default
-    rule that is anonymous and neutral, like the undominated set, equals it
-    when it does so on the orbit-minimum candidates, and then ``G`` does when
-    its overrides do; any other rule is compared chunk by chunk."""
-    D = _symmetric_default(G)
-    if D is not None:
-        pareto = core.undominated(d)
-        if all(np.array_equal(D.values_at(d, ks), d.evaluate(pareto, ks))
-               for ks in _runs(d.memo(_orbit_minimum_candidates))):
-            keys, masks = G.override_index(d)
-            return np.array_equal(masks, d.evaluate(pareto, keys))
-        if D is G:
-            return False
-    values, pv = G.value_table(d), d.pareto_table
-    return all(np.array_equal(values[lo:lo + core._CHUNK], pv[lo:lo + core._CHUNK])
-               for lo in range(0, d.total, core._CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +497,18 @@ class ExampleReport:
 
 
 def _check_deviation(G: Correspondence, d: DomainIndex, mode: str) -> ExampleCheck:
-    diff = G.deviation_indices(d)
+    diff, pv = G.deviation_indices(d), d.pareto_table
+    keys, masks = G.override_index(d)
     if mode == "exact":
-        want = sorted(d.index_orderings(key) for key in G.overrides)
-        values_differ = all(
-            G.overrides[key] != int(d.pareto_table[d.index_orderings(key)])
-            for key in G.overrides
-        )
-        ok = values_differ and list(diff) == want
-        detail = f"{len(diff)} profiles differ; {len(want)} fixed"
+        ok = np.array_equal(diff, keys) and bool((masks != pv[keys]).all())
+        detail = f"{len(diff)} profiles differ; {len(keys)} fixed"
     elif mode == "drop":
         t = d.universe.index(G.default.split(":", 1)[1])
-        pv = d.pareto_table
         expect = np.nonzero(((pv >> t) & 1).astype(bool) & (pv != (1 << t)))[0]
         ok = np.array_equal(diff, expect)
         detail = f"{len(diff)} profiles differ; expected {len(expect)}"
     elif mode == "tops-diff":
-        keys = np.array(sorted(d.index_orderings(key) for key in G.overrides))
-        expect = keys[d.tops_table[keys] != d.pareto_table[keys]]
+        expect = keys[d.tops_table[keys] != pv[keys]]
         ok = np.array_equal(diff, expect)
         detail = f"{len(diff)} profiles differ within the {len(keys)}-profile subdomain"
     else:

@@ -231,17 +231,15 @@ _EDGES: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-#: The unary axioms' sets: a choice set must lie within the first and contain
-#: the second.
-_UNARY: dict[str, Callable[[DomainIndex], core.Fold]] = {
-    "pareto": core.undominated,
-    "tops-in": core.top_choices,
+#: The unary conditions: a fold giving sets per profile, and a predicate
+#: ``bad(gu, sets)`` on the choice sets there.  A choice set must lie within
+#: the undominated set and contain the tops.  ``equals-pareto``, the theorems'
+#: closing comparison, is no axiom: it is kept out of ``AXIOMS``.
+_UNARY: dict[str, tuple[Callable[[DomainIndex], core.Fold], Callable]] = {
+    "pareto": (core.undominated, lambda gu, sets: gu & ~sets != 0),
+    "tops-in": (core.top_choices, lambda gu, sets: sets & ~gu != 0),
+    "equals-pareto": (core.undominated, lambda gu, sets: gu != sets),
 }
-
-
-def _unary_violations(axiom: str, gu: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Where the choice sets ``gu`` break ``axiom`` given its ``sets``."""
-    return ((gu & ~sets) if axiom == "pareto" else (sets & ~gu)) != 0
 
 
 def _moves_at(d: DomainIndex, moves: Sequence[_Move], ks: np.ndarray) -> Iterator[tuple]:
@@ -280,7 +278,8 @@ def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
     as every move family is an involution, are all constraints touching u.
     """
     if axiom in _UNARY:
-        return _unary_violations(axiom, gu, d.evaluate(_UNARY[axiom](d), ks))
+        fold, bad = _UNARY[axiom]
+        return bad(gu, d.evaluate(fold(d), ks))
     family, bad = _EDGES[axiom]
     viol = np.zeros(len(ks), dtype=bool)
     for rows, v, a, b in _moves_at(d, d.memo(family), ks):
@@ -309,11 +308,12 @@ def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
     ``grid[index]`` of a rule's value table ``grid``, viewed as the digit grid
     (see :meth:`DomainIndex.blocks`).  Each move is a gather along the axes of
     the individuals it moves, and the targets of a fixed or partly covered
-    individual's moves are read from the whole table.  The unary axioms fold
-    their sets over the block."""
+    individual's moves are read from the whole table.  The unary conditions
+    fold their sets over the block."""
     gu = grid[index]
     if axiom in _UNARY:
-        return _unary_violations(axiom, gu, _UNARY[axiom](d)(d.block_fold(index)))
+        fold, bad = _UNARY[axiom]
+        return bad(gu, fold(d)(d.block_fold(index)))
     bad = _EDGES[axiom][1]
     viol = np.zeros(gu.shape, dtype=bool)
     for mv in moves:
@@ -396,27 +396,25 @@ def _symmetric_default(G: Correspondence) -> Correspondence | None:
     return Correspondence(G.universe, G.n, G.default) if G.overrides else G
 
 
-def _runs(ks: np.ndarray) -> Iterator[np.ndarray]:
-    """The profiles ``ks`` in runs of ``_CHUNK`` (read at call time)."""
-    return (ks[lo:lo + core._CHUNK] for lo in range(0, len(ks), core._CHUNK))
-
-
 def _sparse_hit(d: DomainIndex, axiom: str, G: Correspondence, ks: np.ndarray,
                 workers: int) -> int:
     """The smallest of the ascending profiles ``ks`` flagged for ``axiom``
     under ``G``, or -1; ``G`` is evaluated at ``ks`` and their moves' targets
-    alone."""
+    alone, in runs of ``_CHUNK`` profiles (read at call time)."""
     def first(ks: np.ndarray) -> int:
         viol = violation_mask(d, axiom, ks, G.values_at(d, ks), lambda rows, v: G.values_at(d, v))
         return int(ks[viol.argmax()]) if viol.any() else -1
-    return _first_hit(_runs(ks), first, workers)
+    runs = (ks[lo:lo + core._CHUNK] for lo in range(0, len(ks), core._CHUNK))
+    return _first_hit(runs, first, workers)
 
 
 def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple[str, int]:
     """The smallest profile flagged for ``axiom`` under ``G``, or -1, and the
     path that found it: ``quotient`` (a symmetric rule on the orbit-minimum
     candidates), ``overrides`` (a passing symmetric default, then the
-    profiles its overrides touch) or ``dense`` (every profile)."""
+    profiles its overrides touch) or ``dense`` (every profile).  ``axiom``
+    is a row of ``_EDGES`` or ``_UNARY``, so also ``equals-pareto``: -1 then
+    says that ``G`` chooses the undominated set at every profile."""
     # the move family is memoised here, before the threads read it
     moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
     D = None if axiom in ("anonymity", "neutrality") else _symmetric_default(G)
@@ -710,17 +708,13 @@ def check_neutrality(G: Correspondence, d: DomainIndex, *, workers: int = 1,
     return _first_violation("neutrality", G, d, wide=True)
 
 
-def _dense_first(G: Correspondence, d: DomainIndex, axioms: Sequence[str]) -> None:
-    """Build ``G``'s value table before ``axioms`` are checked when one of
-    them sweeps it whole (anonymity and neutrality always do), so the sparse
-    checks before that one read it too."""
-    if not {"anonymity", "neutrality"}.isdisjoint(axioms):
-        G.value_table(d)
-
-
 def check_axioms(G: Correspondence, d: DomainIndex, axioms: Sequence[str] = AXIOMS,
                  *, workers: int = 1) -> list[AxiomReport]:
-    _dense_first(G, d, axioms)
+    """Check ``axioms`` in order.  When one of them sweeps ``G``'s value table
+    whole (anonymity and neutrality always do), the table is built first, so
+    the sparse checks before that one read it too."""
+    if not {"anonymity", "neutrality"}.isdisjoint(axioms):
+        G.value_table(d)
     return [check_axiom(a, G, d, workers=workers) for a in axioms]
 
 
@@ -755,10 +749,8 @@ class MatrixResult:
 def axiom_matrix(rules: Sequence[Correspondence], axioms: Sequence[str],
                  d: DomainIndex, *, workers: int = 1) -> MatrixResult:
     """Every requested axiom checked against every rule, in a fixed order."""
-    reports: dict[str, dict[str, AxiomReport]] = {}
-    for G in rules:
-        _dense_first(G, d, axioms)
-        reports[G.name] = {a: check_axiom(a, G, d, workers=workers) for a in axioms}
+    reports = {G.name: dict(zip(axioms, check_axioms(G, d, axioms, workers=workers)))
+               for G in rules}
     return MatrixResult(d.m, d.n, tuple(G.name for G in rules), tuple(axioms), reports)
 
 

@@ -191,25 +191,20 @@ def _cmd_matrix(args) -> int:
     d = DomainIndex(args.m, args.n)
     rules = [make_rule(name, args.m, args.n) for name in names]
     result = axiom_matrix(rules, axioms, d, workers=args.workers)
-
-    if args.format == "json":
-        print(json.dumps(result.to_json(), indent=2))
-    else:
-        width = max(len(r) for r in result.rules) + 2
-        head = " " * width + " ".join(f"{a:>17}" for a in axioms)
-        lines = [head]
-        notes = []
-        for rule_name in result.rules:
-            cells = []
-            for a in axioms:
-                rep = result.report(rule_name, a)
-                if rep.passed:
-                    cells.append(f"{'✓':>17}")
-                else:
-                    notes.append(f"[{len(notes) + 1}] {rule_name}/{rep.summary()}")
-                    cells.append(f"{'✗[' + str(len(notes)) + ']':>17}")
-            lines.append(f"{rule_name:<{width}}" + " ".join(cells))
-        print("\n".join(lines + notes))
+    width = max(len(r) for r in result.rules) + 2
+    lines = [" " * width + " ".join(f"{a:>17}" for a in axioms)]
+    notes = []
+    for rule_name in result.rules:
+        cells = []
+        for a in axioms:
+            rep = result.report(rule_name, a)
+            if rep.passed:
+                cells.append(f"{'✓':>17}")
+            else:
+                notes.append(f"[{len(notes) + 1}] {rule_name}/{rep.summary()}")
+                cells.append(f"{'✗[' + str(len(notes)) + ']':>17}")
+        lines.append(f"{rule_name:<{width}}" + " ".join(cells))
+    _emit(args, result.to_json(), "\n".join(lines + notes))
     return 0 if result.all_pass else 1
 
 

@@ -666,22 +666,31 @@ def load_table(source: str | dict) -> Correspondence:
     profile's order of appearance, or default to 'a', 'b', ... .
     """
     data = json.loads(source) if isinstance(source, str) else source
+    if not isinstance(data, dict):
+        raise ValueError(f"a table file holds a JSON object, got {type(data).__name__}")
     try:
         m, n, default = int(data["m"]), int(data["n"]), data["default"]
     except KeyError as exc:
         raise ValueError(f"table file is missing the {exc.args[0]!r} field") from None
-    raw = data.get("overrides", {})
-    labels = data.get("labels")
-    if labels is None:
-        if raw:
-            labels = "".join(dict.fromkeys(c for c in next(iter(raw)) if c not in "| \t"))
-        else:
-            labels = None
+    except TypeError:
+        raise ValueError("the 'm' and 'n' fields are integers") from None
+    raw, labels = data.get("overrides", {}), data.get("labels")
+    for field, value, kind, what in (("default", default, str, "a rule name"),
+                                     ("labels", labels, (str, type(None)), "a string"),
+                                     ("overrides", raw, dict, "a map of profiles to choice sets")):
+        if not isinstance(value, kind):
+            raise ValueError(f"the {field!r} field is {what}, got {type(value).__name__}")
+    if labels is None and raw:
+        labels = "".join(dict.fromkeys(c for c in next(iter(raw)) if c not in "| \t"))
     universe = Universe(labels) if labels else Universe.of_size(m)
     if universe.m != m:
         raise ValueError(f"labels {universe.labels!r} do not match m={m}")
     overrides = {}
     for text, chosen in raw.items():
+        if not (isinstance(chosen, str)
+                or isinstance(chosen, list) and all(isinstance(c, str) for c in chosen)):
+            raise ValueError(f"override {text!r}: a choice set is a list or string of "
+                             f"labels, got {chosen!r}")
         profile = parse_profile(text, universe)
         if profile.n != n:
             raise ValueError(f"override profile {text!r} has {profile.n} individuals, expected {n}")

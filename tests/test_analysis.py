@@ -187,7 +187,6 @@ def test_theorem_builds_no_whole_domain_table(d43):
         assert G._tables == {}, G.name
         with pytest.MonkeyPatch.context() as dense:
             dense.setattr(axioms, "_symmetric_default", lambda G: None)
-            dense.setattr(analysis, "_symmetric_default", lambda G: None)
             assert verify_theorem(3, G, d) == result, G.name
 
 
@@ -199,6 +198,35 @@ def test_theorem_table_equal_to_pareto_over_another_default(d33):
                        {d33.profile(k).orderings: int(d33.pareto_table[k]) for k in keys})
     result = verify_theorem(2, G, DomainIndex(3, 3))
     assert result.verdict == CONSISTENT_EQUAL and result.matches_pareto
+
+
+def test_theorem_contradiction_on_every_sweep_path(d33, monkeypatch):
+    # with pareto alone asked for, a rule that passes it yet chooses less
+    # than the undominated set somewhere contradicts the theorem; the
+    # comparison flags the first such profile on each of the sweep's paths
+    from paretocheck import core
+
+    monkeypatch.setattr(analysis, "THEOREM_AXIOMS", {2: ("pareto",)})
+    monkeypatch.setattr(core, "_CHUNK", 7)
+    narrow = np.flatnonzero(d33.tops_table != d33.pareto_table)
+    k = int(narrow[len(narrow) // 2])
+    inside = Correspondence(d33.universe, d33.n,
+                            overrides={d33.profile(k).orderings: int(d33.tops_table[k])})
+    restored = Correspondence(d33.universe, d33.n, "tops", {
+        d33.profile(j).orderings: int(d33.pareto_table[j]) for j in narrow.tolist()})
+    cases = [(make_rule("tops", 3, 3), "quotient", False), (inside, "overrides", False),
+             (make_rule("dictator:1", 3, 3), "dense", False), (restored, "dense", True)]
+    for G, path, equal in cases:
+        differ = [j for j in range(d33.total)
+                  if G.choose_mask(d33.profile(j)) != pareto_mask(d33.profile(j))]
+        assert (not differ) == equal, G.name
+        first = differ[0] if differ else -1
+        for workers in (1, 2):
+            result = verify_theorem(2, G, d33, workers=workers)
+            assert result.matches_pareto == equal, (G.name, workers)
+            assert result.verdict == (CONSISTENT_EQUAL if equal else THEOREM_CONTRADICTION)
+            assert axioms._sweep("equals-pareto", G, d33, workers) == (path, first)
+    assert axioms._sweep("equals-pareto", inside, d33, 1)[1] == k
 
 
 def test_theorem_size_mismatch(d33):

@@ -85,6 +85,22 @@ def test_check_unknown_rule_and_axiom(capsys):
     assert "niceness" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("[1, 2]", "JSON object"),
+    ('{"m": 3, "n": 2, "default": "pareto", "overrides": {"abc|abc": 5}}', "'abc|abc'"),
+    ('{"m": 3, "n": 2, "default": "pareto", "overrides": [["abc|abc", "a"]]}', "'overrides'"),
+    ('{"m": [3], "n": 2, "default": "pareto"}', "'m'"),
+    ('{"m": 3, "n": 2, "default": 5}', "'default'"),
+    ('{"m": 3, "n": 2, "default": "pareto", "labels": 5}', "'labels'"),
+])
+def test_check_malformed_table_file(text, field, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
+
+
 def test_check_domain_cap(capsys):
     code, _, err = run(capsys, "check", "--rule", "pareto", "--m", "6", "--n", "4",
                        "--axioms", "pareto")
