@@ -1,81 +1,63 @@
 """Exhaustive axiom checking for social choice correspondences on
-strict-preference profiles, organized around the Pareto correspondence."""
+strict-preference profiles, organized around the Pareto correspondence.
+
+The package namespace is lazy (PEP 562).  ``import paretocheck`` loads no
+submodule and not numpy; each name below is imported from its submodule on
+first access and then kept in the package namespace, so it is the same
+object as the submodule's.  ``paretocheck.DomainIndex`` loads ``core``,
+``paretocheck.make_rule`` loads ``core`` and ``rules``, a checker loads
+``axioms`` as well, and the theorem harness, the search and the examples
+load ``analysis``.
+"""
 
 import os
 
 # The package makes no BLAS call, so numpy's OpenBLAS needs no idle worker thread.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .core import (
-    ChoiceSet,
-    DomainIndex,
-    Ordering,
-    ParseError,
-    Profile,
-    TranspositionSite,
-    Universe,
-    apply_alternative_permutation,
-    apply_individual_permutation,
-    apply_transposition,
-    enumerate_orderings,
-    index_profile,
-    lower_one,
-    lower_to_just_below,
-    pareto_dominates,
-    parse_profile,
-    profile_index,
-    raise_one,
-    raise_to_just_below,
-    rank_of,
-    transposition_sites,
-)
-from .rules import (
-    Correspondence,
-    RULE_CATALOG,
-    RuleCatalogEntry,
-    borda,
-    constant_all,
-    copeland,
-    dictatorship,
-    evaluate,
-    example_rule,
-    load_table,
-    make_rule,
-    pareto_set,
-    pareto_set_by_elimination,
-    plurality,
-    tops_union,
-)
-from .axioms import (
-    AXIOMS,
-    AxiomReport,
-    Witness,
-    axiom_matrix,
-    check_anonymity,
-    check_axiom,
-    check_axiom_reference,
-    check_axioms,
-    check_balancedness,
-    check_monotonicity,
-    check_neutrality,
-    check_pareto_condition,
-    check_strong_stability,
-    check_tops_in,
-    check_weak_monotonicity,
-    replay_witness,
-)
-from .analysis import (
-    Deviation,
-    ExampleReport,
-    HeightResult,
-    THEOREM_AXIOMS,
-    TheoremResult,
-    gap,
-    height,
-    perturbation_search,
-    reproduce_example,
-    stability_descent_audit,
-    verify_theorem,
-)
-
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "core": (
+        "ChoiceSet", "DomainIndex", "Ordering", "ParseError", "Profile",
+        "TranspositionSite", "Universe", "apply_alternative_permutation",
+        "apply_individual_permutation", "apply_transposition", "enumerate_orderings",
+        "index_profile", "lower_one", "lower_to_just_below", "pareto_dominates",
+        "parse_profile", "profile_index", "raise_one", "raise_to_just_below", "rank_of",
+        "transposition_sites",
+    ),
+    "rules": (
+        "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "borda", "constant_all",
+        "copeland", "dictatorship", "evaluate", "example_rule", "load_table", "make_rule",
+        "pareto_set", "pareto_set_by_elimination", "plurality", "tops_union",
+    ),
+    "axioms": (
+        "AXIOMS", "AxiomReport", "THEOREM_AXIOMS", "Witness", "axiom_matrix",
+        "check_anonymity", "check_axiom", "check_axiom_reference", "check_axioms",
+        "check_balancedness", "check_monotonicity", "check_neutrality",
+        "check_pareto_condition", "check_strong_stability", "check_tops_in",
+        "check_weak_monotonicity", "replay_witness",
+    ),
+    "analysis": (
+        "Deviation", "ExampleReport", "HeightResult", "TheoremResult", "gap", "height",
+        "perturbation_search", "reproduce_example", "stability_descent_audit",
+        "verify_theorem",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module, so -X importtime lists the module
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    globals()[name] = value  # later lookups, and vars(paretocheck), find it directly
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -26,6 +26,8 @@ from .core import (
 from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
 from .axioms import (
     AXIOMS,
+    THEOREM_AXIOMS,
+    THEOREM_M,
     AxiomReport,
     _orbit_minimum_candidates,
     _sweep,
@@ -137,17 +139,6 @@ def gap(G: Correspondence, u: Profile, i: int, w: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Theorem harness
-
-#: Axiom list per characterization level, keyed by theorem number.
-THEOREM_AXIOMS: dict[int, tuple[str, ...]] = {
-    1: ("pareto", "tops-in"),
-    2: ("pareto", "tops-in", "balancedness"),
-    3: ("pareto", "tops-in", "balancedness", "monotonicity"),
-    4: ("pareto", "tops-in", "balancedness", "weak-monotonicity", "strong-stability"),
-}
-
-#: The range of m each level concerns; the CLI's default m is its lower end.
-THEOREM_M: dict[int, tuple[int, int]] = {1: (2, 2), 2: (3, 3), 3: (4, 4), 4: (5, 8)}
 
 CONSISTENT_EQUAL = "consistent-equal"
 CONSISTENT_COUNTEREXAMPLE = "consistent-counterexample"

@@ -65,6 +65,17 @@ AXIOMS: tuple[str, ...] = (
     "neutrality",
 )
 
+#: Axiom list per characterization level, keyed by theorem number.
+THEOREM_AXIOMS: dict[int, tuple[str, ...]] = {
+    1: ("pareto", "tops-in"),
+    2: ("pareto", "tops-in", "balancedness"),
+    3: ("pareto", "tops-in", "balancedness", "monotonicity"),
+    4: ("pareto", "tops-in", "balancedness", "weak-monotonicity", "strong-stability"),
+}
+
+#: The range of m each level concerns; the CLI's default m is its lower end.
+THEOREM_M: dict[int, tuple[int, int]] = {1: (2, 2), 2: (3, 3), 3: (4, 4), 4: (5, 8)}
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -408,6 +419,12 @@ def _sparse_hit(d: DomainIndex, axiom: str, G: Correspondence, ks: np.ndarray,
     return _first_hit(runs, first, workers)
 
 
+def _default_hits(d: DomainIndex) -> dict[tuple[str, str], int]:
+    """``(default name, axiom) -> hit`` of the symmetric defaults swept on
+    ``d``, kept with the domain so the tables over one default share it."""
+    return {}
+
+
 def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple[str, int]:
     """The smallest profile flagged for ``axiom`` under ``G``, or -1, and the
     path that found it: ``quotient`` (a symmetric rule on the orbit-minimum
@@ -419,10 +436,15 @@ def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple
     moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
     D = None if axiom in ("anonymity", "neutrality") else _symmetric_default(G)
     if D is not None:
-        hit = _sparse_hit(d, axiom, D, d.memo(_orbit_minimum_candidates), workers)
+        candidates = d.memo(_orbit_minimum_candidates)
         if D is G:
-            return "quotient", hit
-        if hit < 0:
+            return "quotient", _sparse_hit(d, axiom, G, candidates, workers)
+        # the default's verdict holds for every table over it on this domain
+        hits = d.memo(_default_hits)
+        key = (G.default, axiom)
+        if key not in hits:
+            hits[key] = _sparse_hit(d, axiom, D, candidates, workers)
+        if hits[key] < 0:
             keys = G.override_index(d)[0]
             touched = np.sort(np.concatenate([keys, *(v for _, v, _, _ in _moves_at(d, moves, keys))]))
             touched = touched[np.diff(touched, prepend=-1) != 0]  # np.unique would import numpy.ma

@@ -567,6 +567,40 @@ def test_override_split_matches_dense_and_reference(sizes, monkeypatch):
                 assert got[key + (G.name, axiom)] == want, (key, G.name, axiom)
 
 
+def test_tables_over_one_default_share_its_sweep(monkeypatch, random_table):
+    # a default's quotient sweep runs once per domain and axiom, however many
+    # tables lie over it; a symmetric rule with no overrides sweeps every time
+    d = DomainIndex(3, 3)
+    over_pareto = [random_table(d, seed) for seed in (1, 3)]
+    over_tops = [Correspondence(d.universe, d.n, "tops", G.overrides) for G in over_pareto]
+    passes = {(default, a): check_axiom(a, make_rule(default, 3, 3), d).passed
+              for default in ("pareto", "tops") for a in QUOTIENT_AXIOMS}
+    assert not all(passes.values())
+    calls = []
+    sparse_hit = axioms._sparse_hit
+
+    def counting(d, axiom, G, ks, workers):
+        calls.append(("table" if G.overrides else G.default, axiom))
+        return sparse_hit(d, axiom, G, ks, workers)
+    monkeypatch.setattr(axioms, "_sparse_hit", counting)
+    for G in over_pareto + over_tops:
+        for axiom in QUOTIENT_AXIOMS:
+            path = "overrides" if passes[G.default, axiom] else "dense"
+            assert axioms._sweep(axiom, G, d, 1)[0] == path, (G.name, axiom)
+    # each default once, and the overrides of both tables where it passes
+    assert sorted(calls) == sorted(list(passes) + [("table", a) for (_, a), ok in passes.items()
+                                                   if ok] * 2)
+    calls.clear()
+    pareto = make_rule("pareto", 3, 3)
+    for _ in range(2):
+        assert axioms._sweep("balancedness", pareto, d, 1) == ("quotient", -1)
+    assert calls == [("pareto", "balancedness")] * 2
+    # the kept verdicts give the reports of a domain that keeps none
+    for G in over_pareto + over_tops:
+        for axiom in QUOTIENT_AXIOMS:
+            assert check_axiom(axiom, G, d) == check_axiom(axiom, G, DomainIndex(3, 3))
+
+
 @pytest.mark.parametrize("sizes", GP_SIZES, ids=lambda s: "%dx%d" % s)
 def test_symmetric_catalog_claims_hold(sizes):
     # the quotient sweep rests on these claims

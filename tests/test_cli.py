@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import paretocheck
-from paretocheck import parse_profile
+from paretocheck import cli, parse_profile
 from paretocheck.cli import main
 
 
@@ -256,6 +257,74 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # 1 means "a violation was found", so a crash has its own code
+    def crash(args):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli._HANDLERS, "check", crash)
+    code, out, err = run(capsys, "check", "--rule", "pareto")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal error\n")
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# -- the package namespace ----------------------------------------------------------
+
+# every name the package exported when it imported its submodules eagerly
+_EXPORTS = {
+    "core": (
+        "ChoiceSet", "DomainIndex", "Ordering", "ParseError", "Profile",
+        "TranspositionSite", "Universe", "apply_alternative_permutation",
+        "apply_individual_permutation", "apply_transposition", "enumerate_orderings",
+        "index_profile", "lower_one", "lower_to_just_below", "pareto_dominates",
+        "parse_profile", "profile_index", "raise_one", "raise_to_just_below", "rank_of",
+        "transposition_sites",
+    ),
+    "rules": (
+        "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "borda", "constant_all",
+        "copeland", "dictatorship", "evaluate", "example_rule", "load_table", "make_rule",
+        "pareto_set", "pareto_set_by_elimination", "plurality", "tops_union",
+    ),
+    "axioms": (
+        "AXIOMS", "AxiomReport", "Witness", "axiom_matrix", "check_anonymity",
+        "check_axiom", "check_axiom_reference", "check_axioms", "check_balancedness",
+        "check_monotonicity", "check_neutrality", "check_pareto_condition",
+        "check_strong_stability", "check_tops_in", "check_weak_monotonicity",
+        "replay_witness",
+    ),
+    "analysis": (
+        "Deviation", "ExampleReport", "HeightResult", "THEOREM_AXIOMS", "TheoremResult",
+        "gap", "height", "perturbation_search", "reproduce_example",
+        "stability_descent_audit", "verify_theorem",
+    ),
+}
+
+
+def test_namespace_keeps_every_name():
+    listed = dir(paretocheck)
+    star = {}
+    exec("from paretocheck import *", star)
+    for module, names in _EXPORTS.items():
+        sub = importlib.import_module("paretocheck." + module)
+        for name in names:
+            imported = {}
+            exec(f"from paretocheck import {name}", imported)
+            value = getattr(sub, name)
+            assert getattr(paretocheck, name) is value, name
+            assert imported[name] is value and star[name] is value, name
+            # kept after the first lookup, where wrappers installed by name find it
+            assert vars(paretocheck)[name] is value, name
+            assert name in listed, name
+    assert paretocheck.__version__ == "0.1.0" and "__version__" in listed
+
+
+def test_namespace_rejects_unknown_names():
+    with pytest.raises(AttributeError, match="module 'paretocheck' has no attribute 'nosuch'"):
+        paretocheck.nosuch
+    with pytest.raises(ImportError, match="nosuch"):
+        exec("from paretocheck import nosuch", {})
+
+
 # -- threads of a fresh process ---------------------------------------------------
 
 # conftest imports numpy first, so only a fresh process shows what importing
@@ -263,6 +332,7 @@ def test_usage_error_exit_code(capsys):
 _THREAD_PROBE = """
 import json, os, sys
 import paretocheck
+paretocheck.DomainIndex  # imports numpy, whose OpenBLAS could start threads
 status = "/proc/self/status"
 threads = None
 if os.path.exists(status):
@@ -288,6 +358,41 @@ def test_fresh_process_runs_on_one_thread():
     if default["threads"] is None:
         pytest.skip("no /proc/self/status to count threads")
     assert default["threads"] == 1
+
+
+# -- what a fresh process loads ----------------------------------------------------
+
+_LOAD_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("paretocheck."))
+import paretocheck as pc
+out = {"import": loaded(), "numpy": "numpy" in sys.modules}
+pc.DomainIndex(4, 4)
+out["DomainIndex"] = loaded()
+pc.make_rule("pareto", 3, 3)
+out["make_rule"] = loaded()
+from paretocheck.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    out["codes"] = [main(["check", "--rule", "pareto", "--m", "3", "--n", "3"]),
+                    main(["matrix", "--rules", "pareto,tops", "--axioms", "balancedness"])]
+out["check"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    out["codes"].append(main(["theorem", "2", "--rule", "pareto"]))
+out["theorem"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_fresh_process_loads_only_the_modules_it_runs():
+    out = _probe(_LOAD_PROBE)
+    assert out["import"] == [] and not out["numpy"]
+    assert out["DomainIndex"] == ["paretocheck.core"]
+    assert out["make_rule"] == ["paretocheck.core", "paretocheck.rules"]
+    assert out["codes"] == [0, 1, 0]
+    assert out["check"] == ["paretocheck.axioms", "paretocheck.cli", "paretocheck.core",
+                            "paretocheck.rules"]
+    assert "paretocheck.analysis" in out["theorem"]
 
 
 # np.unique imports numpy.ma on first use, about 10 ms and 1 MB in a fresh process
