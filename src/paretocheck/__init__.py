@@ -5,9 +5,9 @@ The package namespace is lazy (PEP 562).  ``import paretocheck`` loads no
 submodule and not numpy; each name below is imported from its submodule on
 first access and then kept in the package namespace, so it is the same
 object as the submodule's.  ``paretocheck.DomainIndex`` loads ``core``,
-``paretocheck.make_rule`` loads ``core`` and ``rules``, a checker loads
-``axioms`` as well, and the theorem harness, the search and the examples
-load ``analysis``.
+``paretocheck.make_rule`` loads ``core`` and ``rules``, a checker or the
+theorem harness loads ``axioms`` as well, and the search, the height and
+gap measurements and the examples load ``analysis``.
 """
 
 import os
@@ -32,16 +32,15 @@ _EXPORTS = {
         "pareto_set", "pareto_set_by_elimination", "plurality", "tops_union",
     ),
     "axioms": (
-        "AXIOMS", "AxiomReport", "THEOREM_AXIOMS", "Witness", "axiom_matrix",
+        "AXIOMS", "AxiomReport", "THEOREM_AXIOMS", "TheoremResult", "Witness", "axiom_matrix",
         "check_anonymity", "check_axiom", "check_axiom_reference", "check_axioms",
         "check_balancedness", "check_monotonicity", "check_neutrality",
         "check_pareto_condition", "check_strong_stability", "check_tops_in",
-        "check_weak_monotonicity", "replay_witness",
+        "check_weak_monotonicity", "replay_witness", "verify_theorem",
     ),
     "analysis": (
-        "Deviation", "ExampleReport", "HeightResult", "TheoremResult", "gap", "height",
+        "Deviation", "ExampleReport", "HeightResult", "gap", "height",
         "perturbation_search", "reproduce_example", "stability_descent_audit",
-        "verify_theorem",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,7 +1,8 @@
 """Diagnostics and harnesses built on the checkers: the height and gap
-measurements used by the characterization arguments, the empirical theorem
-harness, the bounded perturbation search for rules that beat a given axiom
-set, and exact reproduction of the catalog examples.
+measurements used by the characterization arguments, the bounded
+perturbation search for rules that beat a given axiom set, and exact
+reproduction of the catalog examples.  The empirical theorem harness,
+:func:`verify_theorem`, lives in ``axioms`` and is importable from here.
 """
 
 from __future__ import annotations
@@ -24,16 +25,19 @@ from .core import (
     raise_one,
 )
 from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
-from .axioms import (
+from .axioms import (  # the theorem harness lives in axioms; its names stay importable here
     AXIOMS,
+    CONSISTENT_COUNTEREXAMPLE,
+    CONSISTENT_EQUAL,
     THEOREM_AXIOMS,
+    THEOREM_CONTRADICTION,
     THEOREM_M,
-    AxiomReport,
+    TheoremResult,
     _orbit_minimum_candidates,
-    _sweep,
     check_axiom,
     local_violations,
     replay_witness,
+    verify_theorem,
 )
 
 # ---------------------------------------------------------------------------
@@ -135,65 +139,6 @@ def gap(G: Correspondence, u: Profile, i: int, w: int) -> int:
             return pw - q - 1
     raise ValueError(f"gap undefined: no chosen alternative above {lbl(w)} "
                      f"in individual {i + 1}'s ordering")
-
-
-# ---------------------------------------------------------------------------
-# Theorem harness
-
-CONSISTENT_EQUAL = "consistent-equal"
-CONSISTENT_COUNTEREXAMPLE = "consistent-counterexample"
-THEOREM_CONTRADICTION = "THEOREM-CONTRADICTION"
-
-
-@dataclass(frozen=True)
-class TheoremResult:
-    theorem: int
-    rule: str
-    m: int
-    n: int
-    verdict: str
-    failing_axiom: str | None
-    reports: tuple[AxiomReport, ...]
-    matches_pareto: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "verdict": self.verdict,
-            "failing_axiom": self.failing_axiom,
-            "deviations": [],
-            "rule": self.rule,
-            "m": self.m,
-            "n": self.n,
-        }
-
-
-def verify_theorem(k: int, G: Correspondence, d: DomainIndex, *, workers: int = 1) -> TheoremResult:
-    """Check one characterization level empirically on a full domain.
-
-    Runs the level's axiom list against ``G`` and then compares ``G`` to the
-    undominated-set rule pointwise.  Possible verdicts: the axioms hold and
-    the rules coincide (consistent-equal); some axiom fails
-    (consistent-counterexample); or the axioms hold yet the rules differ,
-    which the characterization says must never happen (THEOREM-CONTRADICTION).
-    The comparison is one more sweep condition, ``equals-pareto``, so it
-    takes the checks' paths and runs on ``workers`` threads like them.
-    """
-    if k not in THEOREM_AXIOMS:
-        raise ValueError(f"unknown theorem {k} (supported: 1..4)")
-    m_lo, m_hi = THEOREM_M[k]
-    if not m_lo <= d.m <= m_hi:
-        raise ValueError(f"theorem {k} concerns m in [{m_lo}, {m_hi}], got m={d.m}")
-    reports: list[AxiomReport] = []
-    for axiom in THEOREM_AXIOMS[k]:
-        rep = check_axiom(axiom, G, d, workers=workers)
-        reports.append(rep)
-        if not rep.passed:
-            return TheoremResult(k, G.name, d.m, d.n, CONSISTENT_COUNTEREXAMPLE,
-                                 axiom, tuple(reports), None)
-    equal = _sweep("equals-pareto", G, d, workers)[1] < 0
-    verdict = CONSISTENT_EQUAL if equal else THEOREM_CONTRADICTION
-    return TheoremResult(k, G.name, d.m, d.n, verdict, None, tuple(reports), equal)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,11 @@ THEOREM_AXIOMS: dict[int, tuple[str, ...]] = {
 #: The range of m each level concerns; the CLI's default m is its lower end.
 THEOREM_M: dict[int, tuple[int, int]] = {1: (2, 2), 2: (3, 3), 3: (4, 4), 4: (5, 8)}
 
+#: The theorem harness's verdicts (see :func:`verify_theorem`).
+CONSISTENT_EQUAL = "consistent-equal"
+CONSISTENT_COUNTEREXAMPLE = "consistent-counterexample"
+THEOREM_CONTRADICTION = "THEOREM-CONTRADICTION"
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -319,12 +324,8 @@ def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
     ``grid[index]`` of a rule's value table ``grid``, viewed as the digit grid
     (see :meth:`DomainIndex.blocks`).  Each move is a gather along the axes of
     the individuals it moves, and the targets of a fixed or partly covered
-    individual's moves are read from the whole table.  The unary conditions
-    fold their sets over the block."""
+    individual's moves are read from the whole table."""
     gu = grid[index]
-    if axiom in _UNARY:
-        fold, bad = _UNARY[axiom]
-        return bad(gu, fold(d)(d.block_fold(index)))
     bad = _EDGES[axiom][1]
     viol = np.zeros(gu.shape, dtype=bool)
     for mv in moves:
@@ -429,9 +430,13 @@ def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple
     """The smallest profile flagged for ``axiom`` under ``G``, or -1, and the
     path that found it: ``quotient`` (a symmetric rule on the orbit-minimum
     candidates), ``overrides`` (a passing symmetric default, then the
-    profiles its overrides touch) or ``dense`` (every profile).  ``axiom``
-    is a row of ``_EDGES`` or ``_UNARY``, so also ``equals-pareto``: -1 then
-    says that ``G`` chooses the undominated set at every profile."""
+    profiles its overrides touch) or ``dense`` (every profile, block by
+    block).  ``axiom`` is a row of ``_EDGES`` or ``_UNARY``, so also
+    ``equals-pareto``: -1 then says that ``G`` chooses the undominated set at
+    every profile.  A dense ``_UNARY`` row reads each block's values alone
+    (:meth:`Correspondence.block_values`), so it builds no whole-domain
+    table; an ``_EDGES`` row's moves reach other blocks, so it sweeps the
+    rule's value table."""
     # the move family is memoised here, before the threads read it
     moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
     D = None if axiom in ("anonymity", "neutrality") else _symmetric_default(G)
@@ -449,12 +454,22 @@ def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple
             touched = np.sort(np.concatenate([keys, *(v for _, v, _, _ in _moves_at(d, moves, keys))]))
             touched = touched[np.diff(touched, prepend=-1) != 0]  # np.unique would import numpy.ma
             return "overrides", _sparse_hit(d, axiom, G, touched, workers)
-    grid = G.value_table(d).reshape((d.order_count,) * d.n)
+    if axiom in _UNARY:
+        # a unary condition reads the block's own values alone: no whole-domain table
+        fold, bad = _UNARY[axiom]
+        sets = d.memo(fold)
+
+        def violations(lo: int, index: tuple) -> np.ndarray:
+            return bad(G.block_values(d, lo, index), sets(d.block_fold(index)))
+    else:
+        grid = G.value_table(d).reshape((d.order_count,) * d.n)
+
+        def violations(lo: int, index: tuple) -> np.ndarray:
+            return _block_violations(d, axiom, moves, grid, index)
 
     def first(block: tuple[int, tuple]) -> int:
-        lo, index = block
-        viol = _block_violations(d, axiom, moves, grid, index).ravel()
-        return lo + int(viol.argmax()) if viol.any() else -1
+        viol = violations(*block).ravel()
+        return block[0] + int(viol.argmax()) if viol.any() else -1
     return "dense", _first_hit(d.blocks(), first, workers)
 
 
@@ -651,7 +666,10 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
     fold evaluated there; without overrides that is the report.  When D
     passes, the overrides are checked at their own profiles and at their
     moves' targets, where every violation then lies.  Every other check
-    sweeps the rule's whole-domain value table, block by block.  All paths
+    sweeps the whole domain, block by block: pareto and tops-in on each
+    block's own values, folded there unless the rule's value table is
+    already built, and the move axioms on the whole-domain value table,
+    since their moves leave the block.  All paths
     find the same smallest violating profile, and all run their chunks on
     ``workers`` threads, so the report is the same for any worker count.
     """
@@ -738,6 +756,61 @@ def check_axioms(G: Correspondence, d: DomainIndex, axioms: Sequence[str] = AXIO
     if not {"anonymity", "neutrality"}.isdisjoint(axioms):
         G.value_table(d)
     return [check_axiom(a, G, d, workers=workers) for a in axioms]
+
+
+# ---------------------------------------------------------------------------
+# Theorem harness
+
+
+@dataclass(frozen=True)
+class TheoremResult:
+    theorem: int
+    rule: str
+    m: int
+    n: int
+    verdict: str
+    failing_axiom: str | None
+    reports: tuple[AxiomReport, ...]
+    matches_pareto: bool | None
+
+    def to_json(self) -> dict:
+        return {
+            "theorem": self.theorem,
+            "verdict": self.verdict,
+            "failing_axiom": self.failing_axiom,
+            "deviations": [],
+            "rule": self.rule,
+            "m": self.m,
+            "n": self.n,
+        }
+
+
+def verify_theorem(k: int, G: Correspondence, d: DomainIndex, *, workers: int = 1) -> TheoremResult:
+    """Check one characterization level empirically on a full domain.
+
+    Runs the level's axiom list against ``G`` and then compares ``G`` to the
+    undominated-set rule pointwise.  Possible verdicts: the axioms hold and
+    the rules coincide (consistent-equal); some axiom fails
+    (consistent-counterexample); or the axioms hold yet the rules differ,
+    which the characterization says must never happen (THEOREM-CONTRADICTION).
+    The comparison is one more sweep condition, ``equals-pareto``, so it
+    takes the checks' paths and runs on ``workers`` threads like them.
+    """
+    if k not in THEOREM_AXIOMS:
+        raise ValueError(f"unknown theorem {k} (supported: 1..4)")
+    m_lo, m_hi = THEOREM_M[k]
+    if not m_lo <= d.m <= m_hi:
+        raise ValueError(f"theorem {k} concerns m in [{m_lo}, {m_hi}], got m={d.m}")
+    reports: list[AxiomReport] = []
+    for axiom in THEOREM_AXIOMS[k]:
+        rep = check_axiom(axiom, G, d, workers=workers)
+        reports.append(rep)
+        if not rep.passed:
+            return TheoremResult(k, G.name, d.m, d.n, CONSISTENT_COUNTEREXAMPLE,
+                                 axiom, tuple(reports), None)
+    equal = _sweep("equals-pareto", G, d, workers)[1] < 0
+    verdict = CONSISTENT_EQUAL if equal else THEOREM_CONTRADICTION
+    return TheoremResult(k, G.name, d.m, d.n, verdict, None, tuple(reports), equal)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Subcommands: ``eval``, ``check``, ``matrix``, ``example``, ``theorem``,
 ``search``.  Exit codes: 0 when every check passes (or the reproduction
 matches, or the search finds nothing), 1 when a violation, mismatch, or
 deviation is found, 2 on usage or configuration errors, 3 on an internal
-error.  The theorem, search and example commands import ``analysis`` when
-they run, so the other commands never load it.
+error.  The search and example commands import ``analysis`` when they run,
+so the other commands, ``theorem`` among them, never load it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 # process's peak RSS is about 0.3 MB lower
 from .core import DomainIndex, ParseError, parse_profile
 from .rules import Correspondence, load_table, make_rule
-from .axioms import AXIOMS, THEOREM_AXIOMS, THEOREM_M, axiom_matrix, check_axioms
+from .axioms import (AXIOMS, CONSISTENT_EQUAL, THEOREM_AXIOMS, THEOREM_M, axiom_matrix,
+                     check_axioms, verify_theorem)
 
 import argparse
 import json
@@ -217,8 +218,6 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    from .analysis import CONSISTENT_EQUAL, verify_theorem
-
     m = args.m if args.m is not None else THEOREM_M[args.k][0]
     rule = _load_rule(args, m, args.n)
     _guard_domain(rule.m, rule.n, args.max_domain)

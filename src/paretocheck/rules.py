@@ -399,6 +399,31 @@ class Correspondence:
             out[hit] = masks[at[hit]]
         return out
 
+    def block_values(self, d: DomainIndex, lo: int, index: tuple[slice, ...]) -> np.ndarray:
+        """uint8 masks of the block ``grid[index]`` of :meth:`DomainIndex.blocks`
+        whose first profile is ``lo``, shaped like the block: read from the
+        value table once it is built, and otherwise the default rule's fold
+        over the block alone (kept with the domain), with the overrides in the
+        block's run of profile indices patched in."""
+        self._check_domain(d)
+        table = self._tables.get((d.m, d.n, d.universe.labels))
+        if table is not None:
+            return table.reshape((d.order_count,) * d.n)[index]
+        if isinstance(self._fold, Correspondence):
+            out = self._fold.block_values(d, lo, index)
+        else:
+            out = np.empty([s.stop - s.start for s in index]
+                           + [d.order_count] * (d.n - len(index)), dtype=np.uint8)
+            out[...] = d.memo(self._fold)(d.block_fold(index))
+        if self.overrides:
+            keys, masks = self.override_index(d)
+            start, stop = np.searchsorted(keys, (lo, lo + out.size))
+            if start < stop:
+                if not out.flags.writeable:  # the inner rule's table
+                    out = out.copy()
+                out.reshape(-1)[keys[start:stop] - lo] = masks[start:stop]
+        return out
+
     def override_index(self, d: DomainIndex) -> tuple[np.ndarray, np.ndarray]:
         """The overridden profiles' indices on ``d``, ascending, and their
         masks; cached per domain."""

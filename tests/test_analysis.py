@@ -177,10 +177,13 @@ def test_theorem_example_counterexamples(d43xyzw, d53paper):
 
 def test_theorem_builds_no_whole_domain_table(d43):
     # a symmetric default is checked and compared with the undominated set on
-    # its orbit-minimum candidates, and its overrides where they touch
-    table = Correspondence(d43.universe, d43.n, overrides={
-        d43.profile(k).orderings: int(d43.tops_table[k]) for k in (5, 700, 9000)})
-    for G in (make_rule("pareto", 4, 3), make_rule("borda", 4, 3), table):
+    # its orbit-minimum candidates, and its overrides where they touch; any
+    # other rule's pareto and tops-in sweeps fold each block's values alone
+    overrides = {d43.profile(k).orderings: int(d43.tops_table[k]) for k in (5, 700, 9000)}
+    table = Correspondence(d43.universe, d43.n, overrides=overrides)
+    over_dictator = Correspondence(d43.universe, d43.n, "dictator:1", overrides)
+    for G in (make_rule("pareto", 4, 3), make_rule("borda", 4, 3), table,
+              make_rule("dictator:1", 4, 3), over_dictator):
         d = DomainIndex(4, 3)
         result = verify_theorem(3, G, d)
         assert "pareto_table" not in vars(d) and "tops_table" not in vars(d), G.name
@@ -206,7 +209,7 @@ def test_theorem_contradiction_on_every_sweep_path(d33, monkeypatch):
     # comparison flags the first such profile on each of the sweep's paths
     from paretocheck import core
 
-    monkeypatch.setattr(analysis, "THEOREM_AXIOMS", {2: ("pareto",)})
+    monkeypatch.setattr(axioms, "THEOREM_AXIOMS", {2: ("pareto",)})
     monkeypatch.setattr(core, "_CHUNK", 7)
     narrow = np.flatnonzero(d33.tops_table != d33.pareto_table)
     k = int(narrow[len(narrow) // 2])

@@ -47,6 +47,7 @@ from paretocheck.rules import (
     Correspondence,
     borda_mask,
     copeland_mask,
+    pareto_mask,
     plurality_mask,
     symmetry_orbit,
     tops_mask,
@@ -350,6 +351,39 @@ def test_multi_chunk_waves_match_reference(sizes, chunk, monkeypatch, random_tab
             for axiom in AXIOMS:
                 got = check_axiom(axiom, G, d, workers=workers)
                 assert got == want[G.name, axiom], (sizes, chunk, workers, G.name, axiom)
+
+
+UNARY_AXIOMS = ("pareto", "tops-in")
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 2)], ids=lambda s: "%dx%d" % s)
+def test_dense_unary_sweeps_match_reference(sizes, chunk, monkeypatch, random_table):
+    # defaults with no symmetry claim sweep pareto, tops-in and the comparison
+    # with the undominated set densely, on each block's own values with the
+    # overrides patched in; then again on the value table that check_axioms
+    # builds for anonymity, with the same reports
+    d = DomainIndex(*sizes)
+    rules = [Correspondence(d.universe, d.n, default, random_table(d, seed).overrides,
+                            name=f"{default}/{seed}")
+             for default in ("dictator:1", "drop:a") for seed in range(4)]
+    want = {}
+    for G in rules:
+        differ = (k for k in range(d.total)
+                  if G.choose_mask(d.profile(k)) != pareto_mask(d.profile(k)))
+        want[G.name] = [check_axiom_reference(a, G, d) for a in UNARY_AXIOMS], next(differ, -1)
+    assert any(not r.passed for reports, _ in want.values() for r in reports)
+    assert any(r.passed for reports, _ in want.values() for r in reports)
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    for built in (False, True):
+        for G in rules:
+            if built:
+                check_axioms(G, d, ("anonymity",))
+            reports, first = want[G.name]
+            for workers in (1, 2, 3):
+                assert [check_axiom(a, G, d, workers=workers) for a in UNARY_AXIOMS] == reports
+                assert axioms._sweep("equals-pareto", G, d, workers) == ("dense", first)
+            assert bool(G._tables) == built, G.name
 
 
 @pytest.mark.parametrize("sizes", [(3, 3), (4, 2), (3, 4), (4, 3)], ids=lambda s: "%dx%d" % s)

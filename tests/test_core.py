@@ -25,6 +25,7 @@ from paretocheck import (
     raise_one,
     raise_to_just_below,
     rank_of,
+    replay_witness,
     transposition_sites,
 )
 from paretocheck.axioms import _orbit_minimum_candidates
@@ -135,10 +136,14 @@ def test_largest_domains_within_int64_construct():
 
 def test_whole_domain_table_rejects_unallocatable_size():
     # 5040**3 profiles fit in int64, but the 128 GB table cannot be allocated;
-    # a dictator is not symmetric, so its sweep needs its whole value table
+    # a dictator is not symmetric, so its move sweeps need its whole value
+    # table, while tops-in folds each block's values alone
+    G, d = make_rule("dictator:1", 7, 3), DomainIndex(7, 3)
     with pytest.raises(ValueError, match=r"\(7,3\) domain has 128024064000 profiles.*"
                                          r"needs 128024064000 bytes"):
-        check_axiom("tops-in", make_rule("dictator:1", 7, 3), DomainIndex(7, 3))
+        check_axiom("weak-monotonicity", G, d)
+    report = check_axiom("tops-in", G, d)
+    assert not report.passed and replay_witness(G, d, report)
 
 
 # -- ranks and dominance -----------------------------------------------------

@@ -170,6 +170,43 @@ def test_values_at_equals_the_value_table(random_table):
         assert np.array_equal(fresh.values_at(d, ks), got), G.name
 
 
+@pytest.mark.parametrize("chunk", [7, None])
+def test_block_values_equal_the_value_table(chunk, monkeypatch, random_table):
+    # block_values folds the default rule over one block and patches in the
+    # overrides in the block's run of indices, until the value table is built,
+    # and reads its slice after; a table over an example patches its own
+    # overrides, one of them at an example's override, into the example's
+    # block values, or into a copy of its table's slice once that is built
+    if chunk is not None:
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+    cases = [(make_rule(name, m, n), DomainIndex(m, n)) for name in RULE_CATALOG
+             for m, n in [(3, 3), (4, 3)]]
+    for name, entry in EXAMPLES.items():
+        G = make_rule(name, *entry.claim_size)
+        cases.append((G, DomainIndex(G.m, G.n, G.universe.labels)))
+    d33 = DomainIndex(3, 3)
+    cases += [(random_table(d33, seed), d33) for seed in range(4)]
+    cases += [(Correspondence(d33.universe, 3, "dictator:2", random_table(d33, seed).overrides),
+               d33) for seed in range(4)]
+    xyz = DomainIndex(3, 3, "xyz")
+    over_example = {"m": 3, "n": 3, "labels": "xyz", "default": "example:4",
+                    "overrides": {"xyz|xyz|zyx": ["z"], "xyz|yzx|zxy": ["y"],
+                                  "zxy|yzx|xyz": ["y"]}}
+    inner_built = load_table(over_example)
+    inner_built._fold.value_table(xyz)
+    cases += [(load_table(over_example), xyz), (inner_built, xyz)]
+    for G, d in cases:
+        if chunk is not None and d.total > 5_000:  # thousands of blocks of a few profiles
+            continue
+        blocks = list(d.blocks())
+        got = [G.block_values(d, lo, index) for lo, index in blocks]
+        assert G._tables == {}, G.name
+        grid = G.value_table(d).reshape((d.order_count,) * d.n)
+        for (lo, index), values in zip(blocks, got):
+            assert values.dtype == np.uint8 and np.array_equal(values, grid[index]), (G.name, lo)
+            assert np.shares_memory(G.block_values(d, lo, index), grid)
+
+
 def test_evaluate_dispatch(d32):
     G = make_rule("pareto", 3, 2)
     for k in range(d32.total):
