@@ -2,7 +2,7 @@
 measurements used by the characterization arguments, the bounded
 perturbation search for rules that beat a given axiom set, and exact
 reproduction of the catalog examples.  The empirical theorem harness,
-:func:`verify_theorem`, lives in ``axioms`` and is importable from here.
+:func:`verify_theorem`, and its verdicts live in ``axioms``.
 """
 
 from __future__ import annotations
@@ -25,14 +25,8 @@ from .core import (
     raise_one,
 )
 from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
-from .axioms import (  # the theorem harness lives in axioms; its names stay importable here
+from .axioms import (  # verify_theorem: benchmarks/workloads.py calls it from here
     AXIOMS,
-    CONSISTENT_COUNTEREXAMPLE,
-    CONSISTENT_EQUAL,
-    THEOREM_AXIOMS,
-    THEOREM_CONTRADICTION,
-    THEOREM_M,
-    TheoremResult,
     _orbit_minimum_candidates,
     check_axiom,
     local_violations,

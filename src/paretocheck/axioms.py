@@ -24,9 +24,9 @@ and reorderings, then the profiles its overrides touch.
 An independent object-level oracle keeps the edge layer honest about what a
 violation is.  It is one table, ``_ORACLE``, giving each axiom a listing of
 the sites it constrains at a profile and a verdict on one site.  The witness
-at the sweep's offending profile, the reference checks
-(:func:`check_axiom_reference`, ``multi_step`` and ``exhaustive``) and
-:func:`replay_witness` all read violations off that table.
+at the sweep's offending profile, the reference check
+:func:`check_axiom_reference` (one-step or, with ``wide``, the wider
+listings) and :func:`replay_witness` all read violations off that table.
 """
 
 from __future__ import annotations
@@ -55,14 +55,14 @@ from .core import (
 from .rules import RULE_CATALOG, Correspondence
 
 AXIOMS: tuple[str, ...] = (
-    "pareto",
-    "tops-in",
-    "balancedness",
-    "monotonicity",
-    "weak-monotonicity",
-    "strong-stability",
-    "anonymity",
-    "neutrality",
+    "pareto",             # no chosen alternative is Pareto-dominated
+    "tops-in",            # every individual's top alternative is chosen
+    "balancedness",       # i has x just above y, j has y just above x; both swap: same set
+    "monotonicity",       # raising a chosen x keeps x chosen and admits nothing new
+    "weak-monotonicity",  # raising a chosen x keeps x chosen
+    "strong-stability",   # lowering a chosen x just below y: at most one of drop x, add y
+    "anonymity",          # permuting the individuals: same set
+    "neutrality",         # relabelling the alternatives relabels the set
 )
 
 #: Axiom list per characterization level, keyed by theorem number.
@@ -640,17 +640,13 @@ def _violations(axiom: str, G: Correspondence, d: DomainIndex, u: Profile,
             )
 
 
-def _first_violation(axiom: str, G: Correspondence, d: DomainIndex,
-                     *, wide: bool = False) -> AxiomReport:
-    """The oracle's report: a plain loop over profiles in index order."""
-    for k in range(d.total):
-        for witness in _violations(axiom, G, d, d.profile(k), wide=wide):
-            return AxiomReport(axiom, "fail", witness, k + 1)
-    return AxiomReport(axiom, "pass", None, d.total)
-
-
 # ---------------------------------------------------------------------------
 # Public checkers
+
+
+def _require_axiom(axiom: str) -> None:
+    if axiom not in AXIOMS:
+        raise ValueError(f"unknown axiom {axiom!r} (choose from {', '.join(AXIOMS)})")
 
 
 def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int = 1) -> AxiomReport:
@@ -672,11 +668,15 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
     since their moves leave the block.  All paths
     find the same smallest violating profile, and all run their chunks on
     ``workers`` threads, so the report is the same for any worker count.
+
+    ``G`` must be a rule over ``d``'s labels and individuals; otherwise the
+    ValueError names ``G``.  :func:`check_axiom_reference` is the
+    object-level reference for every axiom, with the same reports.
     """
-    if axiom not in AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r} (choose from {', '.join(AXIOMS)})")
+    _require_axiom(axiom)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    G._check_domain(d)
     hit = _sweep(axiom, G, d, workers)[1]
     if hit < 0:
         return AxiomReport(axiom, "pass", None, d.total)
@@ -684,68 +684,6 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
     if witness is None:  # pragma: no cover - kernel/object disagreement is a bug
         raise AssertionError(f"sweep flagged profile {hit} but no {axiom} violation was found there")
     return AxiomReport(axiom, "fail", witness, hit + 1)
-
-
-def check_pareto_condition(G: Correspondence, d: DomainIndex, *, workers: int = 1) -> AxiomReport:
-    """No choice set may contain a dominated alternative."""
-    return check_axiom("pareto", G, d, workers=workers)
-
-
-def check_tops_in(G: Correspondence, d: DomainIndex, *, workers: int = 1) -> AxiomReport:
-    """Every individual's top choice is chosen."""
-    return check_axiom("tops-in", G, d, workers=workers)
-
-
-def check_balancedness(G: Correspondence, d: DomainIndex, *, workers: int = 1) -> AxiomReport:
-    """Transposing an inverted adjacent pair for both individuals leaves the
-    choice set unchanged."""
-    return check_axiom("balancedness", G, d, workers=workers)
-
-
-def check_monotonicity(G: Correspondence, d: DomainIndex, *, workers: int = 1,
-                       multi_step: bool = False) -> AxiomReport:
-    """Raising a chosen alternative keeps it chosen and admits nothing new.
-
-    One-step raises are checked by default; a raise of any distance is a
-    composition of one-step raises, so the verdicts agree.  ``multi_step``
-    switches to the explicit all-distances check (slow, small domains only).
-    """
-    if not multi_step:
-        return check_axiom("monotonicity", G, d, workers=workers)
-    return _first_violation("monotonicity", G, d, wide=True)
-
-
-def check_weak_monotonicity(G: Correspondence, d: DomainIndex, *, workers: int = 1) -> AxiomReport:
-    """Raising a chosen alternative keeps it chosen."""
-    return check_axiom("weak-monotonicity", G, d, workers=workers)
-
-
-def check_strong_stability(G: Correspondence, d: DomainIndex, *, workers: int = 1) -> AxiomReport:
-    """Lowering a chosen alternative just below its neighbour changes the
-    choice set by at most dropping it or adding the neighbour, never both."""
-    return check_axiom("strong-stability", G, d, workers=workers)
-
-
-def check_anonymity(G: Correspondence, d: DomainIndex, *, workers: int = 1,
-                    exhaustive: bool = False) -> AxiomReport:
-    """Choice sets are unchanged under permutations of the individuals.
-
-    The default sweep checks the adjacent-swap generators at every profile,
-    which is equivalent to invariance under the whole permutation group;
-    ``exhaustive`` checks every permutation explicitly (slow path, used to
-    cross-validate the generator argument).
-    """
-    if not exhaustive:
-        return check_axiom("anonymity", G, d, workers=workers)
-    return _first_violation("anonymity", G, d, wide=True)
-
-
-def check_neutrality(G: Correspondence, d: DomainIndex, *, workers: int = 1,
-                     exhaustive: bool = False) -> AxiomReport:
-    """Choice sets follow relabelings of the alternatives."""
-    if not exhaustive:
-        return check_axiom("neutrality", G, d, workers=workers)
-    return _first_violation("neutrality", G, d, wide=True)
 
 
 def check_axioms(G: Correspondence, d: DomainIndex, axioms: Sequence[str] = AXIOMS,
@@ -853,10 +791,23 @@ def axiom_matrix(rules: Sequence[Correspondence], axioms: Sequence[str],
 # Slow reference paths
 
 
-def check_axiom_reference(axiom: str, G: Correspondence, d: DomainIndex) -> AxiomReport:
+def check_axiom_reference(axiom: str, G: Correspondence, d: DomainIndex,
+                          *, wide: bool = False) -> AxiomReport:
     """Object-level re-implementation of :func:`check_axiom`: a plain loop
-    over profiles with no vectorization.  Small domains only."""
-    return _first_violation(axiom, G, d)
+    over profiles in index order with no vectorization.  Small domains only.
+
+    By default it lists the sweep's one-step sites, so its report equals
+    :func:`check_axiom`'s field for field.  ``wide`` lists the reference
+    sites instead: raises of any distance for monotonicity and weak
+    monotonicity, and every permutation of the individuals or of the labels
+    for anonymity and neutrality.  The one-step sites generate those, so the
+    verdict is the same either way.
+    """
+    _require_axiom(axiom)
+    for k in range(d.total):
+        for witness in _violations(axiom, G, d, d.profile(k), wide=wide):
+            return AxiomReport(axiom, "fail", witness, k + 1)
+    return AxiomReport(axiom, "pass", None, d.total)
 
 
 def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bool:
@@ -873,8 +824,7 @@ def replay_witness(G: Correspondence, d: DomainIndex, report: AxiomReport) -> bo
     w = report.witness
     if report.passed or w is None:
         return report.passed and w is None
-    if report.axiom not in _ORACLE:
-        raise ValueError(f"unknown axiom {report.axiom!r}")
+    _require_axiom(report.axiom)
     try:
         u = d.parse(w.profiles[0])
     except (IndexError, ValueError):  # no profile, or not one of this domain's

@@ -757,12 +757,3 @@ def ordering_relabels(d: DomainIndex) -> np.ndarray:
         act[lo:lo + step] = d.relabel_action(d.rank_table[lo:lo + step])
     return act
 
-
-def index_profile(d: DomainIndex, k: int) -> Profile:
-    """Profile at position ``k`` of the canonical enumeration."""
-    return d.profile(k)
-
-
-def profile_index(d: DomainIndex, u: Profile) -> int:
-    """Position of ``u`` in the canonical enumeration (inverse of index_profile)."""
-    return d.index(u)

@@ -6,10 +6,10 @@ the axioms it is claimed to pass and to fail.
 A :class:`Correspondence` maps every profile of its ``(m, n)`` domain to a
 non-empty choice set.  It is either a named rule or a table: a default named
 rule plus a finite map of per-profile overrides.  Named rules evaluate one
-profile at a time through :func:`evaluate`.  For the sweep checkers each is
-also one fold over the orderings' columns, which gives either its
-whole-domain value table (one uint8 mask per profile index) or its masks at
-an array of profile indices alone.
+profile at a time through :meth:`Correspondence.choose`.  For the sweep
+checkers each is also one fold over the orderings' columns, which gives
+either its whole-domain value table (one uint8 mask per profile index) or
+its masks at an array of profile indices alone.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     DomainIndex,
     Fold,
     Ordering,
+    ParseError,
     Profile,
     Universe,
     apply_alternative_permutation,
@@ -458,11 +459,6 @@ class Correspondence:
         return f"Correspondence({self.name!r}, m={self.m}, n={self.n})"
 
 
-def evaluate(G: Correspondence, u: Profile) -> ChoiceSet:
-    """Value of correspondence ``G`` at profile ``u``."""
-    return G.choose(u)
-
-
 def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
         Callable[[Profile], int], Callable[[DomainIndex], Fold] | Correspondence]:
     """A default rule: its mask at one profile, and its fold on a domain, or
@@ -674,7 +670,11 @@ def example_rule(k: int, variant: str | None = None, *, m: int | None = None,
     if universe.m != em:
         raise ValueError(f"labels {universe.labels!r} do not match m={em}")
     default = entry.default.format(drop=drop if drop is not None else universe.labels[-1])
-    overrides = entry.overrides(universe, en) if entry.overrides else None
+    try:
+        overrides = entry.overrides(universe, en) if entry.overrides else None
+    except ParseError:  # the overrides name the entry's own labels
+        raise ValueError(f"example {k} is stated over the labels {entry.labels!r}, "
+                         f"got {universe.labels!r}") from None
     return Correspondence(universe, en, default=default, overrides=overrides, name=name)
 
 

@@ -12,14 +12,11 @@ import pytest
 from paretocheck import (
     AXIOMS,
     DomainIndex,
-    check_anonymity,
     check_axiom,
+    check_axiom_reference,
     check_axioms,
-    check_monotonicity,
-    check_neutrality,
     axiom_matrix,
     example_rule,
-    index_profile,
     make_rule,
     pareto_set,
     pareto_set_by_elimination,
@@ -28,7 +25,7 @@ from paretocheck import (
     reproduce_example,
     verify_theorem,
 )
-from paretocheck.analysis import CONSISTENT_EQUAL, THEOREM_CONTRADICTION
+from paretocheck.axioms import CONSISTENT_EQUAL, THEOREM_CONTRADICTION
 
 CATALOG = ("pareto", "tops", "borda", "plurality", "copeland", "dictator:1", "all")
 GP_SIZES = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2))
@@ -142,18 +139,18 @@ def test_criterion_6_oracle_equivalences(d33, d43, d52, d32):
     with criterion(6, "independent oracles agree"):
         for d in (d43, d52):
             for k in range(d.total):
-                u = index_profile(d, k)
+                u = d.profile(k)
                 assert pareto_set(u).mask == pareto_set_by_elimination(u).mask
         for name in CATALOG:
             G = make_rule(name, 3, 3)
-            assert (check_anonymity(G, d33).passed
-                    == check_anonymity(G, d33, exhaustive=True).passed), name
-            assert (check_neutrality(G, d33).passed
-                    == check_neutrality(G, d33, exhaustive=True).passed), name
+            assert (check_axiom("anonymity", G, d33).passed
+                    == check_axiom_reference("anonymity", G, d33, wide=True).passed), name
+            assert (check_axiom("neutrality", G, d33).passed
+                    == check_axiom_reference("neutrality", G, d33, wide=True).passed), name
         for name in CATALOG:
             G = make_rule(name, 3, 2)
-            assert (check_monotonicity(G, d32).passed
-                    == check_monotonicity(G, d32, multi_step=True).passed), name
+            assert (check_axiom("monotonicity", G, d32).passed
+                    == check_axiom_reference("monotonicity", G, d32, wide=True).passed), name
 
 
 def test_criterion_7_worker_determinism(d33, d43, d52):

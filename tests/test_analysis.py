@@ -14,7 +14,6 @@ from paretocheck import (
     example_rule,
     gap,
     height,
-    index_profile,
     make_rule,
     parse_profile,
     pareto_set,
@@ -26,14 +25,13 @@ from paretocheck import (
     verify_theorem,
 )
 from paretocheck import analysis, axioms
-from paretocheck.analysis import (
-    _claim_checks,
+from paretocheck.analysis import _claim_checks, Deviation
+from paretocheck.axioms import (
     CONSISTENT_COUNTEREXAMPLE,
-    Deviation,
     CONSISTENT_EQUAL,
     THEOREM_CONTRADICTION,
+    _orbit_minimum_candidates,
 )
-from paretocheck.axioms import _orbit_minimum_candidates
 from paretocheck.core import permute_mask
 from paretocheck.rules import RULE_CATALOG, Correspondence, pareto_mask, tops_mask
 
@@ -92,7 +90,7 @@ def test_height_matches_an_object_level_loop(chunk, monkeypatch, d33, d42, rando
         for G in rules:
             reach = {}
             for k in range(d.total):
-                u = index_profile(d, k)
+                u = d.profile(k)
                 bad = pareto_mask(u) & ~G.choose_mask(u)
                 if bad:
                     reach[k] = min(r.index(x) + 1 for r in u.orderings for x in r if bad >> x & 1)
@@ -515,7 +513,7 @@ def test_second_rank_escape_always_exists(sizes):
     # above that individual's top
     d = DomainIndex(*sizes)
     for k in range(d.total):
-        u = index_profile(d, k)
+        u = d.profile(k)
         undominated = pareto_set(u)
         for i in range(u.n):
             w = u.orderings[i][1]
@@ -551,7 +549,7 @@ def test_descent_audit_gap_reduction_over_candidates(d52):
         tv = int(d52.tops_table[k])
         if pv & ~tv == 0:
             continue
-        u = index_profile(d52, k)
+        u = d52.profile(k)
         G = Correspondence(d52.universe, 2, overrides={u.orderings: tv}, name=f"dev@{k}")
         for step in stability_descent_audit(G, d52):
             seen.add(step.outcome)

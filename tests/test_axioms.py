@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -10,20 +11,11 @@ from paretocheck import (
     DomainIndex,
     Witness,
     apply_alternative_permutation,
-    check_anonymity,
     check_axiom,
     check_axiom_reference,
     check_axioms,
-    check_balancedness,
-    check_monotonicity,
-    check_neutrality,
-    check_pareto_condition,
-    check_strong_stability,
-    check_tops_in,
-    check_weak_monotonicity,
     axiom_matrix,
     example_rule,
-    index_profile,
     lower_one,
     make_rule,
     parse_profile,
@@ -73,7 +65,7 @@ def test_constant_rule_fails_only_pareto(d33):
 
 
 def test_constant_rule_pareto_witness_is_first_profile(d33):
-    rep = check_pareto_condition(make_rule("all", 3, 3), d33)
+    rep = check_axiom("pareto", make_rule("all", 3, 3), d33)
     assert not rep.passed
     assert rep.witness.profiles == ("abc|abc|abc",)
     assert rep.witness.alternatives == ("a", "b")
@@ -82,7 +74,7 @@ def test_constant_rule_pareto_witness_is_first_profile(d33):
 
 def test_example_11_pareto_witness_is_unanimous(d32):
     G = example_rule(11, m=3, n=2)
-    rep = check_pareto_condition(G, DomainIndex(3, 2, G.universe.labels))
+    rep = check_axiom("pareto", G, DomainIndex(3, 2, G.universe.labels))
     assert not rep.passed
     assert rep.witness.profiles == ("abc|abc",)
     assert rep.witness.alternatives == ("a", "b")
@@ -90,15 +82,15 @@ def test_example_11_pareto_witness_is_unanimous(d32):
 
 def test_tops_in_failures(d33):
     for name in ("borda", "plurality"):
-        rep = check_tops_in(make_rule(name, 3, 3), d33)
+        rep = check_axiom("tops-in", make_rule(name, 3, 3), d33)
         assert not rep.passed, name
-    assert check_tops_in(make_rule("pareto", 3, 3), d33).passed
-    assert check_tops_in(make_rule("tops", 3, 3), d33).passed
+    assert check_axiom("tops-in", make_rule("pareto", 3, 3), d33).passed
+    assert check_axiom("tops-in", make_rule("tops", 3, 3), d33).passed
 
 
 def test_example_4_tops_in_witness(d33xyz):
     G = example_rule(4)
-    rep = check_tops_in(G, d33xyz)
+    rep = check_axiom("tops-in", G, d33xyz)
     assert not rep.passed
     assert rep.witness.profiles == ("xyz|yzx|zxy",)
     assert rep.witness.individuals == (2,)
@@ -106,17 +98,17 @@ def test_example_4_tops_in_witness(d33xyz):
 
 
 def test_balancedness_verdicts(d33):
-    assert check_balancedness(make_rule("pareto", 3, 3), d33).passed
-    assert check_balancedness(make_rule("borda", 3, 3), d33).passed
-    assert check_balancedness(make_rule("copeland", 3, 3), d33).passed
-    assert not check_balancedness(make_rule("tops", 3, 3), d33).passed
-    assert not check_balancedness(make_rule("plurality", 3, 3), d33).passed
+    assert check_axiom("balancedness", make_rule("pareto", 3, 3), d33).passed
+    assert check_axiom("balancedness", make_rule("borda", 3, 3), d33).passed
+    assert check_axiom("balancedness", make_rule("copeland", 3, 3), d33).passed
+    assert not check_axiom("balancedness", make_rule("tops", 3, 3), d33).passed
+    assert not check_axiom("balancedness", make_rule("plurality", 3, 3), d33).passed
 
 
 def test_example_10_balancedness_canonical_witness():
     G = example_rule(10)
     d = DomainIndex(3, 3, G.universe.labels)
-    rep = check_balancedness(G, d)
+    rep = check_axiom("balancedness", G, d)
     assert not rep.passed
     # the smallest-index end of the violating pair is the neighbour profile
     assert rep.witness.profiles == ("bca|acb|acb", "cba|acb|abc")
@@ -127,12 +119,12 @@ def test_example_10_balancedness_canonical_witness():
 
 def test_monotonicity_verdicts(d33):
     for name in ("pareto", "borda", "plurality", "tops"):
-        assert check_monotonicity(make_rule(name, 3, 3), d33).passed, name
+        assert check_axiom("monotonicity", make_rule(name, 3, 3), d33).passed, name
 
 
 def test_example_5_monotonicity_fails(d43xyzw):
     G = example_rule(5)
-    rep = check_monotonicity(G, d43xyzw)
+    rep = check_axiom("monotonicity", G, d43xyzw)
     assert not rep.passed
     # the fixed profile is involved in the canonical violation
     u_star = "xyzw|ywxz|zwxy"
@@ -141,7 +133,7 @@ def test_example_5_monotonicity_fails(d43xyzw):
 
 def test_example_9_unrestricted_monotonicity_fails(d53paper):
     G = example_rule(9, "unrestricted")
-    rep = check_monotonicity(G, d53paper)
+    rep = check_axiom("monotonicity", G, d53paper)
     assert not rep.passed
     # the documented violating move, checked directly
     u = parse_profile("xywzt|ztwxy|ztwxy", d53paper.universe)
@@ -153,20 +145,20 @@ def test_example_9_unrestricted_monotonicity_fails(d53paper):
 def test_weak_monotonicity_is_implied_by_monotonicity(d33):
     for name in CATALOG_33:
         G = make_rule(name, 3, 3)
-        if check_monotonicity(G, d33).passed:
-            assert check_weak_monotonicity(G, d33).passed, name
+        if check_axiom("monotonicity", G, d33).passed:
+            assert check_axiom("weak-monotonicity", G, d33).passed, name
 
 
 def test_example_10_passes_weak_monotonicity():
     G = example_rule(10)
     d = DomainIndex(3, 3, G.universe.labels)
-    assert check_weak_monotonicity(G, d).passed
+    assert check_axiom("weak-monotonicity", G, d).passed
 
 
 def test_strong_stability_verdicts(d33, d43):
-    assert check_strong_stability(make_rule("pareto", 4, 3), d43).passed
+    assert check_axiom("strong-stability", make_rule("pareto", 4, 3), d43).passed
     for name in ("tops", "plurality", "borda", "copeland", "dictator:1"):
-        assert not check_strong_stability(make_rule(name, 3, 3), d33).passed, name
+        assert not check_axiom("strong-stability", make_rule(name, 3, 3), d33).passed, name
 
 
 def test_borda_strong_stability_documented_move():
@@ -181,7 +173,7 @@ def test_borda_strong_stability_documented_move():
 
 def test_example_8_strong_stability_fails(d52paper):
     G = example_rule(8)
-    rep = check_strong_stability(G, d52paper)
+    rep = check_axiom("strong-stability", G, d52paper)
     assert not rep.passed
     u = parse_profile("xywzt|ztwxy", d52paper.universe)
     v = lower_one(u, 0, d52paper.universe.index("x"))
@@ -189,17 +181,17 @@ def test_example_8_strong_stability_fails(d52paper):
 
 
 def test_anonymity_neutrality_verdicts(d33, d52paper):
-    assert check_anonymity(make_rule("pareto", 3, 3), d33).passed
-    assert check_neutrality(make_rule("pareto", 3, 3), d33).passed
-    rep = check_anonymity(make_rule("dictator:1", 3, 3), d33)
+    assert check_axiom("anonymity", make_rule("pareto", 3, 3), d33).passed
+    assert check_axiom("neutrality", make_rule("pareto", 3, 3), d33).passed
+    rep = check_axiom("anonymity", make_rule("dictator:1", 3, 3), d33)
     assert not rep.passed
     G8 = example_rule(8)
-    assert check_anonymity(G8, d52paper).passed
-    assert not check_neutrality(G8, d52paper).passed
+    assert check_axiom("anonymity", G8, d52paper).passed
+    assert not check_axiom("neutrality", G8, d52paper).passed
 
 
 def test_dictator_anonymity_witness(d33):
-    rep = check_anonymity(make_rule("dictator:1", 3, 3), d33)
+    rep = check_axiom("anonymity", make_rule("dictator:1", 3, 3), d33)
     assert rep.witness.profiles[0] == "abc|bac|abc"
     assert rep.witness.individuals == (1, 2)
 
@@ -227,7 +219,7 @@ def test_example_rule_witnesses_replay():
 def test_replay_rejects_tampered_witness(d33):
     from dataclasses import replace
 
-    rep = check_tops_in(make_rule("borda", 3, 3), d33)
+    rep = check_axiom("tops-in", make_rule("borda", 3, 3), d33)
     bad = replace(rep, witness=replace(rep.witness, observed=("abc", *rep.witness.observed[1:])))
     assert not replay_witness(make_rule("borda", 3, 3), d33, bad)
 
@@ -274,7 +266,7 @@ def test_replay_rejects_profiles_outside_the_domain(d33):
     from dataclasses import replace
 
     G = make_rule("borda", 3, 3)
-    rep = check_tops_in(G, d33)
+    rep = check_axiom("tops-in", G, d33)
     for profiles in (("abc|abd|abc",), ("abc|abc",), ()):
         bad = replace(rep, witness=replace(rep.witness, profiles=profiles))
         assert not replay_witness(G, d33, bad), profiles
@@ -291,12 +283,12 @@ def test_oracle_witnesses_are_pinned(d33, d32, d43xyzw, d52paper, random_table):
         check_axiom("tops-in", make_rule("borda", 3, 3), d33),
         check_axiom("balancedness", make_rule("tops", 3, 3), d33),
         check_axiom("strong-stability", make_rule("tops", 3, 3), d33),
-        check_anonymity(dictator, d33),
-        check_anonymity(dictator, d33, exhaustive=True),
-        check_monotonicity(ex5, d43xyzw),
-        check_monotonicity(ex5, d43xyzw, multi_step=True),
-        check_neutrality(ex8, d52paper),
-        check_neutrality(ex8, d52paper, exhaustive=True),
+        check_axiom("anonymity", dictator, d33),
+        check_axiom_reference("anonymity", dictator, d33, wide=True),
+        check_axiom("monotonicity", ex5, d43xyzw),
+        check_axiom_reference("monotonicity", ex5, d43xyzw, wide=True),
+        check_axiom("neutrality", ex8, d52paper),
+        check_axiom_reference("neutrality", ex8, d52paper, wide=True),
         check_axiom("weak-monotonicity", random_table(d32, 0), d32),
     ]
     mono5 = w(("xyzw|yxwz|zwxy", "xyzw|ywxz|zwxy"), (2,), ("w",), ("xyzw", "xyz"),
@@ -544,7 +536,8 @@ def test_sweep_paths_of_asymmetric_rules(random_table):
     neutral = Correspondence(d.universe, d.n, overrides={
         apply_alternative_permutation(u, theta).orderings: d.universe.full_mask
         for theta in enumerate_orderings(d.m)})
-    assert check_neutrality(neutral, d).passed and not check_anonymity(neutral, d).passed
+    assert check_axiom("neutrality", neutral, d).passed
+    assert not check_axiom("anonymity", neutral, d).passed
     d53 = DomainIndex(5, 3, "xyzwt")
     # a default with no symmetry claim sweeps densely; overrides over the
     # Pareto rule, symmetric or not, are checked where they touch
@@ -552,8 +545,8 @@ def test_sweep_paths_of_asymmetric_rules(random_table):
                          (example_rule(9), d53, "overrides")]:
         assert axioms._sweep("balancedness", G, dom, 1)[0] == path, G.name
     tables = [random_table(d, seed) for seed in range(8)]
-    assert sum(not (check_anonymity(G, d).passed and check_neutrality(G, d).passed)
-               for G in tables) >= 4
+    assert sum(not (check_axiom("anonymity", G, d).passed
+                    and check_axiom("neutrality", G, d).passed) for G in tables) >= 4
     for G in [make_rule("dictator:1", 3, 3), neutral] + tables:
         for axiom in AXIOMS:
             assert axioms._sweep(axiom, G, d, 1)[0] == expected_path(axiom, G, d), (G.name, axiom)
@@ -646,10 +639,11 @@ def test_symmetric_catalog_claims_hold(sizes):
     digits = [d.digit(i, np.arange(d.total)) for i in range(d.n)]
     for name in SYMMETRIC:
         G = make_rule(name, *sizes)
-        assert check_anonymity(G, d).passed and check_neutrality(G, d).passed, name
+        assert check_axiom("anonymity", G, d).passed, name
+        assert check_axiom("neutrality", G, d).passed, name
         if d.total <= 1000:  # the object-level loop over the whole group
-            assert check_anonymity(G, d, exhaustive=True).passed, name
-            assert check_neutrality(G, d, exhaustive=True).passed, name
+            assert check_axiom_reference("anonymity", G, d, wide=True).passed, name
+            assert check_axiom_reference("neutrality", G, d, wide=True).passed, name
         # every element of S_m x S_n, as arrays: G(theta rho u) = theta G(u)
         values = G.value_table(d)
         for t in range(len(thetas)):
@@ -666,8 +660,8 @@ def test_symmetric_catalog_claims_hold(sizes):
 def test_generator_anonymity_agrees_with_bruteforce(name, sizes):
     d = DomainIndex(*sizes)
     G = make_rule(name, *sizes)
-    fast = check_anonymity(G, d)
-    full = check_anonymity(G, d, exhaustive=True)
+    fast = check_axiom("anonymity", G, d)
+    full = check_axiom_reference("anonymity", G, d, wide=True)
     assert fast.passed == full.passed
     if not fast.passed:
         assert replay_witness(G, d, fast) and replay_witness(G, d, full)
@@ -678,8 +672,8 @@ def test_generator_anonymity_agrees_with_bruteforce(name, sizes):
 def test_generator_neutrality_agrees_with_bruteforce(name, sizes):
     d = DomainIndex(*sizes)
     G = make_rule(name, *sizes)
-    fast = check_neutrality(G, d)
-    full = check_neutrality(G, d, exhaustive=True)
+    fast = check_axiom("neutrality", G, d)
+    full = check_axiom_reference("neutrality", G, d, wide=True)
     assert fast.passed == full.passed
     if not fast.passed:
         assert replay_witness(G, d, fast) and replay_witness(G, d, full)
@@ -687,8 +681,8 @@ def test_generator_neutrality_agrees_with_bruteforce(name, sizes):
 
 def test_generator_neutrality_agrees_on_example_8(d52paper):
     G = example_rule(8)
-    assert (check_neutrality(G, d52paper).passed
-            == check_neutrality(G, d52paper, exhaustive=True).passed is False)
+    assert (check_axiom("neutrality", G, d52paper).passed
+            == check_axiom_reference("neutrality", G, d52paper, wide=True).passed is False)
 
 
 # -- one-step versus multi-step monotonicity ----------------------------------
@@ -697,14 +691,14 @@ def test_generator_neutrality_agrees_on_example_8(d52paper):
 @pytest.mark.parametrize("name", CATALOG_33)
 def test_single_step_monotonicity_agrees_with_multistep(name, d32):
     G = make_rule(name, 3, 2)
-    one = check_monotonicity(G, d32)
-    many = check_monotonicity(G, d32, multi_step=True)
+    one = check_axiom("monotonicity", G, d32)
+    many = check_axiom_reference("monotonicity", G, d32, wide=True)
     assert one.passed == many.passed, name
 
 
 def test_multistep_detects_example_5_failure(d43xyzw):
     G = example_rule(5)
-    assert not check_monotonicity(G, d43xyzw, multi_step=True).passed
+    assert not check_axiom_reference("monotonicity", G, d43xyzw, wide=True).passed
 
 
 def test_multistep_witnesses_replay(d32, random_table):
@@ -713,7 +707,7 @@ def test_multistep_witnesses_replay(d32, random_table):
     failing = 0
     for seed in range(300):
         G = random_table(d32, seed)
-        rep = check_monotonicity(G, d32, multi_step=True)
+        rep = check_axiom_reference("monotonicity", G, d32, wide=True)
         if not rep.passed:
             failing += 1
             assert replay_witness(G, d32, rep), (seed, rep.summary())
@@ -732,7 +726,7 @@ def test_single_deviation_witnesses_touch_the_deviation(sizes):
     # every axiom violation of a one-profile table rule involves that profile
     d = DomainIndex(*sizes)
     for k in range(d.total):
-        u = index_profile(d, k)
+        u = d.profile(k)
         pv = int(d.pareto_table[k])
         if bin(pv).count("1") < 2:
             continue
@@ -782,8 +776,25 @@ def test_axiom_matrix_shape_and_json(d33):
 
 
 def test_unknown_axiom_rejected(d33):
-    with pytest.raises(ValueError):
-        check_axiom("sincerity", make_rule("pareto", 3, 3), d33)
+    G = make_rule("borda", 3, 3)
+    renamed = dataclasses.replace(check_axiom("tops-in", G, d33), axiom="sincerity")
+    for call in (lambda: check_axiom("sincerity", G, d33),
+                 lambda: check_axiom_reference("sincerity", G, d33),
+                 lambda: replay_witness(G, d33, renamed)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"unknown axiom 'sincerity' (choose from {', '.join(AXIOMS)})"
+
+
+def test_domain_mismatch_names_the_rule(d33):
+    # the error names example 4, not the copy of its default 'pareto' over
+    # 'xyz' that the override path checks first
+    G = example_rule(4)
+    for axiom in AXIOMS:
+        with pytest.raises(ValueError, match="does not match rule 'example:4' over 'xyz'"):
+            check_axiom(axiom, G, d33)
+    with pytest.raises(ValueError, match="does not match rule 'example:4' over 'xyz'"):
+        axiom_matrix([make_rule("pareto", 3, 3), G], ("pareto", "tops-in"), d33)
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -45,6 +45,15 @@ def test_eval_example_11_adapts_to_profile(capsys):
     assert out.strip() == "x y"
 
 
+def test_eval_example_over_other_labels(capsys):
+    code, out, err = run(capsys, "eval", "--rule", "example:4", "--profile", "abc|bca|cab")
+    assert code == 2 and out == ""
+    assert err == "error: example 4 is stated over the labels 'xyz', got 'abc'\n"
+    code, out, _ = run(capsys, "eval", "--rule", "example:7", "--profile", "abcd|bcda|cdab|dabc")
+    assert code == 0
+    assert out.strip() == "a b c d"
+
+
 def test_eval_parse_error_position(capsys):
     code, out, err = run(capsys, "eval", "--rule", "pareto", "--profile", "xyz|xy")
     assert code == 2
@@ -143,6 +152,15 @@ def test_matrix_table_output(capsys):
                        "--axioms", "balancedness")
     assert code == 1
     assert "✓" in out and "✗" in out
+
+
+def test_matrix_rule_over_other_labels(capsys):
+    for axioms in ("pareto,tops-in", "all"):
+        code, out, err = run(capsys, "matrix", "--rules", "pareto,example:4",
+                             "--m", "3", "--n", "3", "--axioms", axioms)
+        assert code == 2 and out == ""
+        assert err == ("error: domain DomainIndex(m=3, n=3, labels='abc') does not match "
+                       "rule 'example:4' over 'xyz' with n=3\n"), axioms
 
 
 # -- example ---------------------------------------------------------------------
@@ -270,34 +288,39 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 # -- the package namespace ----------------------------------------------------------
 
-# every name the package exported when it imported its submodules eagerly
+# every name the package exports, grouped by the module that defines it;
+# verify_theorem stays importable from analysis as well
 _EXPORTS = {
     "core": (
         "ChoiceSet", "DomainIndex", "Ordering", "ParseError", "Profile",
         "TranspositionSite", "Universe", "apply_alternative_permutation",
         "apply_individual_permutation", "apply_transposition", "enumerate_orderings",
-        "index_profile", "lower_one", "lower_to_just_below", "pareto_dominates",
-        "parse_profile", "profile_index", "raise_one", "raise_to_just_below", "rank_of",
-        "transposition_sites",
+        "lower_one", "lower_to_just_below", "pareto_dominates", "parse_profile",
+        "raise_one", "raise_to_just_below", "rank_of", "transposition_sites",
     ),
     "rules": (
         "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "borda", "constant_all",
-        "copeland", "dictatorship", "evaluate", "example_rule", "load_table", "make_rule",
+        "copeland", "dictatorship", "example_rule", "load_table", "make_rule",
         "pareto_set", "pareto_set_by_elimination", "plurality", "tops_union",
     ),
     "axioms": (
-        "AXIOMS", "AxiomReport", "Witness", "axiom_matrix", "check_anonymity",
-        "check_axiom", "check_axiom_reference", "check_axioms", "check_balancedness",
-        "check_monotonicity", "check_neutrality", "check_pareto_condition",
-        "check_strong_stability", "check_tops_in", "check_weak_monotonicity",
-        "replay_witness",
+        "AXIOMS", "AxiomReport", "THEOREM_AXIOMS", "TheoremResult", "Witness",
+        "axiom_matrix", "check_axiom", "check_axiom_reference", "check_axioms",
+        "replay_witness", "verify_theorem",
     ),
     "analysis": (
-        "Deviation", "ExampleReport", "HeightResult", "THEOREM_AXIOMS", "TheoremResult",
-        "gap", "height", "perturbation_search", "reproduce_example",
-        "stability_descent_audit", "verify_theorem",
+        "Deviation", "ExampleReport", "HeightResult", "gap", "height",
+        "perturbation_search", "reproduce_example", "stability_descent_audit",
+        "verify_theorem",
     ),
 }
+
+# names the package no longer exports: each has one spelling above
+_REMOVED = (
+    "check_pareto_condition", "check_tops_in", "check_balancedness", "check_monotonicity",
+    "check_weak_monotonicity", "check_strong_stability", "check_anonymity",
+    "check_neutrality", "index_profile", "profile_index", "evaluate",
+)
 
 
 def test_namespace_keeps_every_name():
@@ -323,6 +346,10 @@ def test_namespace_rejects_unknown_names():
         paretocheck.nosuch
     with pytest.raises(ImportError, match="nosuch"):
         exec("from paretocheck import nosuch", {})
+    for name in _REMOVED:
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(paretocheck, name)
+        assert name not in dir(paretocheck), name
 
 
 # -- threads of a fresh process ---------------------------------------------------

@@ -15,13 +15,11 @@ from paretocheck import (
     apply_transposition,
     check_axiom,
     enumerate_orderings,
-    index_profile,
     lower_one,
     lower_to_just_below,
     make_rule,
     pareto_dominates,
     parse_profile,
-    profile_index,
     raise_one,
     raise_to_just_below,
     rank_of,
@@ -66,7 +64,7 @@ def test_enumeration_size_guard(m):
 
 
 def test_first_profile_is_all_first_ordering(d22):
-    u = index_profile(d22, 0)
+    u = d22.profile(0)
     assert str(u) == "ab|ab"
 
 
@@ -74,7 +72,7 @@ def test_first_profile_is_all_first_ordering(d22):
 def test_round_trip_exhaustive_small_domains(sizes):
     d = DomainIndex(*sizes)
     for k in range(d.total):
-        assert profile_index(d, index_profile(d, k)) == k
+        assert d.index(d.profile(k)) == k
 
 
 def test_total_is_independent_power(d33):
@@ -83,19 +81,19 @@ def test_total_is_independent_power(d33):
 
 def test_index_most_significant_first(d32):
     # profile index = base-m! number, individual 1 most significant
-    u = index_profile(d32, 2 * 6 + 5)
+    u = d32.profile(2 * 6 + 5)
     assert d32.ordering_index(u.orderings[0]) == 2
     assert d32.ordering_index(u.orderings[1]) == 5
 
 
 def test_index_range_and_universe_errors(d32, d33xyz):
     with pytest.raises(ValueError):
-        index_profile(d32, d32.total)
+        d32.profile(d32.total)
     with pytest.raises(ValueError):
-        index_profile(d32, -1)
-    u = index_profile(d33xyz, 17)
+        d32.profile(-1)
+    u = d33xyz.profile(17)
     with pytest.raises(ValueError):
-        profile_index(d32, u)  # wrong universe and n
+        d32.index(u)  # wrong universe and n
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,7 +101,7 @@ def test_index_range_and_universe_errors(d32, d33xyz):
 def test_round_trip_sampled(m, n, data):
     d = DomainIndex(m, n)
     k = data.draw(st.integers(0, d.total - 1))
-    assert profile_index(d, index_profile(d, k)) == k
+    assert d.index(d.profile(k)) == k
 
 
 def test_domain_size_caps():
@@ -212,7 +210,7 @@ def test_site_orientation_and_membership():
 def test_sites_match_bruteforce_quadruple_scan(d33):
     # oracle: scan all (x, y, i, j) quadruples directly
     for k in range(0, d33.total, 7):
-        u = index_profile(d33, k)
+        u = d33.profile(k)
         expected = set()
         for i in range(u.n):
             for j in range(u.n):
@@ -260,7 +258,7 @@ def test_apply_transposition_rejects_invalid_site():
 @given(st.integers(2, 5), st.integers(2, 3), st.data())
 def test_transposition_involution_and_two_position_change(m, n, data):
     d = DomainIndex(m, n)
-    u = index_profile(d, data.draw(st.integers(0, d.total - 1)))
+    u = d.profile(data.draw(st.integers(0, d.total - 1)))
     sites = transposition_sites(u)
     if not sites:
         return
@@ -307,7 +305,7 @@ def test_raise_lower_inverse_and_boundaries():
 @given(st.integers(2, 5), st.integers(2, 3), st.data())
 def test_raise_one_changes_one_adjacent_pair(m, n, data):
     d = DomainIndex(m, n)
-    u = index_profile(d, data.draw(st.integers(0, d.total - 1)))
+    u = d.profile(data.draw(st.integers(0, d.total - 1)))
     i = data.draw(st.integers(0, n - 1))
     p = data.draw(st.integers(1, m - 1))
     x = u.orderings[i][p]
@@ -360,7 +358,7 @@ def test_individual_swap_matches_fixed_pair():
 @given(st.integers(2, 5), st.integers(2, 3), st.data())
 def test_alternative_permutation_commutes_with_ranks(m, n, data):
     d = DomainIndex(m, n)
-    u = index_profile(d, data.draw(st.integers(0, d.total - 1)))
+    u = d.profile(data.draw(st.integers(0, d.total - 1)))
     theta = tuple(data.draw(st.permutations(list(range(m)))))
     v = apply_alternative_permutation(u, theta)
     for i in range(n):

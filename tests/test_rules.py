@@ -9,9 +9,7 @@ from paretocheck import (
     constant_all,
     copeland,
     dictatorship,
-    evaluate,
     example_rule,
-    index_profile,
     load_table,
     make_rule,
     pareto_set,
@@ -92,7 +90,7 @@ def test_borda_scores_example():
 def test_elimination_route_agrees_on_small_domains(d33, d42):
     for d in (d33, d42):
         for k in range(d.total):
-            u = index_profile(d, k)
+            u = d.profile(k)
             assert pareto_set(u).mask == pareto_set_by_elimination(u).mask
 
 
@@ -113,7 +111,7 @@ def test_two_alternative_collapse(sizes):
     # undominated set is the singleton top
     d = DomainIndex(*sizes)
     for k in range(d.total):
-        u = index_profile(d, k)
+        u = d.profile(k)
         t, p = tops_union(u), pareto_set(u)
         if len(t) == 2:
             assert t.mask == p.mask
@@ -126,7 +124,7 @@ def test_value_tables_match_single_profile_evaluation(d33):
         G = make_rule(name, 3, 3)
         table = G.value_table(d33)
         for k in range(0, d33.total, 5):
-            assert int(table[k]) == G.choose_mask(index_profile(d33, k)), name
+            assert int(table[k]) == G.choose_mask(d33.profile(k)), name
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)],
@@ -137,7 +135,7 @@ def test_value_tables_match_choose_mask_everywhere(sizes, monkeypatch):
     names = ("pareto", "tops", "all", "dictator:1", f"dictator:{n}", "borda", "plurality",
              "copeland", "drop:a")
     reference = DomainIndex(m, n)
-    profiles = [index_profile(reference, k) for k in range(reference.total)]
+    profiles = [reference.profile(k) for k in range(reference.total)]
     want = {name: [make_rule(name, m, n).choose_mask(u) for u in profiles] for name in names}
     for chunk in (7, 64, core._CHUNK):
         monkeypatch.setattr(core, "_CHUNK", chunk)
@@ -210,16 +208,16 @@ def test_block_values_equal_the_value_table(chunk, monkeypatch, random_table):
 def test_evaluate_dispatch(d32):
     G = make_rule("pareto", 3, 2)
     for k in range(d32.total):
-        u = index_profile(d32, k)
-        assert evaluate(G, u).mask == pareto_set(u).mask
+        u = d32.profile(k)
+        assert G.choose(u).mask == pareto_set(u).mask
 
 
 def test_evaluate_rejects_mismatched_profile():
     G = make_rule("pareto", 3, 2)
     with pytest.raises(ValueError):
-        evaluate(G, parse_profile("abc|abc|abc"))
+        G.choose(parse_profile("abc|abc|abc"))
     with pytest.raises(ValueError):
-        evaluate(G, parse_profile("xyz|xyz"))
+        G.choose(parse_profile("xyz|xyz"))
 
 
 # -- example rules -----------------------------------------------------------
@@ -248,15 +246,15 @@ def test_example_9_unrestricted_deviates_only_inside_subdomain(d53paper):
 def test_example_4_override_value():
     G = example_rule(4)
     u = parse_profile("xyz|yzx|zxy", G.universe)
-    assert evaluate(G, u).text() == "x"
+    assert G.choose(u).text() == "x"
     v = parse_profile("xyz|yzx|zyx", G.universe)
-    assert evaluate(G, v).mask == pareto_set(v).mask
+    assert G.choose(v).mask == pareto_set(v).mask
 
 
 def test_example_5_values_and_orbit():
     G = example_rule(5)
     u = parse_profile("xyzw|ywxz|zwxy", G.universe)
-    assert evaluate(G, u).text() == "xyz"
+    assert G.choose(u).text() == "xyz"
     assert pareto_set(u).text() == "xyzw"
     orbit = example_rule(5, "orbit")
     assert u.orderings in orbit.overrides
@@ -270,17 +268,17 @@ def test_example_5_values_and_orbit():
 def test_example_6_drops_fixed_alternative():
     G = example_rule(6)
     u = parse_profile("xyzw|ywxz|zwxy", G.universe)  # w undominated here
-    assert evaluate(G, u).text() == "xyz"
+    assert G.choose(u).text() == "xyz"
     unanimous_w = parse_profile("wxyz|wxyz|wxyz", G.universe)
-    assert evaluate(G, unanimous_w).text() == "w"
+    assert G.choose(unanimous_w).text() == "w"
     other = example_rule(6, drop="x")
-    assert evaluate(other, u).text() == "yzw"
+    assert other.choose(u).text() == "yzw"
 
 
 def test_example_8_fixed_pair():
     G = example_rule(8)
-    assert evaluate(G, parse_profile("xywzt|ztwxy", G.universe)).text() == "xz"
-    assert evaluate(G, parse_profile("ztwxy|xywzt", G.universe)).text() == "xz"
+    assert G.choose(parse_profile("xywzt|ztwxy", G.universe)).text() == "xz"
+    assert G.choose(parse_profile("ztwxy|xywzt", G.universe)).text() == "xz"
     assert len(G.overrides) == 2
 
 
@@ -292,7 +290,7 @@ def test_example_9_subdomain_structure():
     G = example_rule(9)
     assert len(G.overrides) == 36
     u = parse_profile("xywzt|ztwxy|xyztw", G.universe)
-    assert evaluate(G, u).text() == "xz"
+    assert G.choose(u).text() == "xz"
     # two anchor copies are outside the subdomain
     v = parse_profile("xywzt|xywzt|ztwxy", G.universe)
     assert v.orderings not in G.overrides
@@ -300,8 +298,8 @@ def test_example_9_subdomain_structure():
 
 def test_example_11_agreement_profiles():
     G = example_rule(11, m=3, n=2)
-    assert evaluate(G, parse_profile("abc|abc", G.universe)).text() == "ab"
-    assert evaluate(G, parse_profile("cba|cba", G.universe)).text() == "bc"
+    assert G.choose(parse_profile("abc|abc", G.universe)).text() == "ab"
+    assert G.choose(parse_profile("cba|cba", G.universe)).text() == "bc"
     assert len(G.overrides) == 6
 
 
@@ -324,6 +322,19 @@ def test_example_labels_must_match_size():
     with pytest.raises(ValueError, match="do not match m=3"):
         example_rule(1, labels="abcd")
     assert example_rule(1, m=4, labels="abcd").universe.labels == "abcd"
+
+
+def test_example_overrides_keep_their_own_labels():
+    # overrides written as profile text are stated over the entry's labels
+    for k, labels, stated in [(4, "abc", "xyz"), (5, "abcd", "xyzw"), (10, "xyz", "abc")]:
+        with pytest.raises(ValueError) as info:
+            example_rule(k, labels=labels)
+        assert str(info.value) == (f"example {k} is stated over the labels {stated!r}, "
+                                   f"got {labels!r}")
+    # examples without overrides take any labels
+    assert example_rule(2, labels="ab").universe.labels == "ab"
+    assert example_rule(6, n=2, labels="abcd").default == "drop:d"
+    assert example_rule(7, n=4, labels="abcd").universe.labels == "abcd"
 
 
 @pytest.mark.parametrize("name, error", [
@@ -390,7 +401,7 @@ def test_table_json_round_trip(d33xyz):
     assert back.universe.labels == "xyz"
     assert back.overrides == G.overrides
     u = parse_profile("xyz|yzx|zxy", back.universe)
-    assert evaluate(back, u).text() == "x"
+    assert back.choose(u).text() == "x"
 
 
 def test_table_default_miss_returns_default_rule():
@@ -399,8 +410,8 @@ def test_table_default_miss_returns_default_rule():
     G = load_table(data)
     hit = parse_profile("xyz|zyx", G.universe)
     miss = parse_profile("xyz|yxz", G.universe)
-    assert evaluate(G, hit).text() == "x"
-    assert evaluate(G, miss).mask == pareto_set(miss).mask
+    assert G.choose(hit).text() == "x"
+    assert G.choose(miss).mask == pareto_set(miss).mask
 
 
 def test_table_validation_errors():
@@ -417,4 +428,4 @@ def test_table_validation_errors():
 def test_drop_rule_name_resolvable():
     G = make_rule("drop:c", 3, 2)
     u = parse_profile("abc|bca", G.universe)
-    assert evaluate(G, u).text() == "ab"
+    assert G.choose(u).text() == "ab"
