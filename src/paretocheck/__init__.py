@@ -22,13 +22,11 @@ _EXPORTS = {
         "ChoiceSet", "DomainIndex", "Ordering", "ParseError", "Profile",
         "TranspositionSite", "Universe", "apply_alternative_permutation",
         "apply_individual_permutation", "apply_transposition", "enumerate_orderings",
-        "lower_one", "lower_to_just_below", "pareto_dominates", "parse_profile",
-        "raise_one", "raise_to_just_below", "rank_of", "transposition_sites",
+        "lower_one", "pareto_dominates", "parse_profile", "raise_one", "transposition_sites",
     ),
     "rules": (
-        "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "borda", "constant_all",
-        "copeland", "dictatorship", "example_rule", "load_table", "make_rule",
-        "pareto_set", "pareto_set_by_elimination", "plurality", "tops_union",
+        "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "example_rule", "load_table",
+        "make_rule", "pareto_set_by_elimination",
     ),
     "axioms": (
         "AXIOMS", "AxiomReport", "THEOREM_AXIOMS", "TheoremResult", "Witness", "axiom_matrix",

@@ -781,9 +781,17 @@ class MatrixResult:
 
 def axiom_matrix(rules: Sequence[Correspondence], axioms: Sequence[str],
                  d: DomainIndex, *, workers: int = 1) -> MatrixResult:
-    """Every requested axiom checked against every rule, in a fixed order."""
-    reports = {G.name: dict(zip(axioms, check_axioms(G, d, axioms, workers=workers)))
-               for G in rules}
+    """Every requested axiom checked against every rule, in a fixed order.
+    A rule over other labels than ``d``'s, an example stated over its own,
+    is checked on the domain of ``d``'s sizes over its labels."""
+    domains = {d.universe.labels: d}
+    reports = {}
+    for G in rules:
+        labels = G.universe.labels
+        if labels not in domains:
+            domains[labels] = DomainIndex(d.m, d.n, labels)
+        reports[G.name] = dict(zip(axioms, check_axioms(G, domains[labels], axioms,
+                                                        workers=workers)))
     return MatrixResult(d.m, d.n, tuple(G.name for G in rules), tuple(axioms), reports)
 
 

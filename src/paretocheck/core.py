@@ -223,12 +223,7 @@ def parse_profile(text: str, universe: Universe | None = None) -> Profile:
 
 
 # ---------------------------------------------------------------------------
-# Rank queries and dominance
-
-
-def rank_of(r: Ordering, x: int) -> int:
-    """1-based rank of alternative ``x`` in ordering ``r`` (rank 1 = top)."""
-    return r.index(x) + 1
+# Dominance
 
 
 def pareto_dominates(u: Profile, x: int, y: int) -> bool:
@@ -324,42 +319,6 @@ def lower_one(u: Profile, i: int, x: int) -> Profile:
         raise ValueError(f"{u.universe.label(x)} is already at the bottom for individual {i + 1}")
     new = list(u.orderings)
     new[i] = _swap_adjacent(r, p)
-    return Profile(u.universe, tuple(new))
-
-
-def _reinsert_below(r: Ordering, x: int, y: int) -> Ordering:
-    rest = [a for a in r if a != x]
-    rest.insert(rest.index(y) + 1, x)
-    return tuple(rest)
-
-
-def raise_to_just_below(u: Profile, i: int, x: int, y: int) -> Profile:
-    """Move ``x`` up to sit immediately below ``y`` in ``i``'s ordering.
-
-    Requires ``x`` below ``y``; the relative order of all other alternatives
-    is unchanged.  A no-op when ``x`` is already immediately below ``y``.
-    """
-    r = u.orderings[i]
-    if x == y:
-        raise ValueError("cannot move an alternative relative to itself")
-    if r.index(x) < r.index(y):
-        raise ValueError(f"{u.universe.label(x)} is not below {u.universe.label(y)} "
-                         f"for individual {i + 1}")
-    new = list(u.orderings)
-    new[i] = _reinsert_below(r, x, y)
-    return Profile(u.universe, tuple(new))
-
-
-def lower_to_just_below(u: Profile, i: int, x: int, y: int) -> Profile:
-    """Move ``x`` down to sit immediately below ``y`` in ``i``'s ordering."""
-    r = u.orderings[i]
-    if x == y:
-        raise ValueError("cannot move an alternative relative to itself")
-    if r.index(x) > r.index(y):
-        raise ValueError(f"{u.universe.label(x)} is not above {u.universe.label(y)} "
-                         f"for individual {i + 1}")
-    new = list(u.orderings)
-    new[i] = _reinsert_below(r, x, y)
     return Profile(u.universe, tuple(new))
 
 

@@ -127,14 +127,6 @@ def _drop_one_mask(u: Profile, t: int) -> int:
     return base & ~(1 << t) if base & (1 << t) else base
 
 
-# Public ChoiceSet-returning rule functions.
-
-
-def pareto_set(u: Profile) -> ChoiceSet:
-    """Exactly the alternatives no other alternative dominates at ``u``."""
-    return ChoiceSet(u.universe, pareto_mask(u))
-
-
 def pareto_set_by_elimination(u: Profile) -> ChoiceSet:
     """Independent route to the undominated set: repeatedly discard any
     alternative dominated by a still-standing alternative until none is."""
@@ -152,37 +144,6 @@ def pareto_set_by_elimination(u: Profile) -> ChoiceSet:
     for x in alive:
         mask |= 1 << x
     return ChoiceSet(u.universe, mask)
-
-
-def tops_union(u: Profile) -> ChoiceSet:
-    """The alternatives that are some individual's first choice."""
-    return ChoiceSet(u.universe, tops_mask(u))
-
-
-def borda(u: Profile) -> ChoiceSet:
-    """Maximizers of the total positional score (rank k earns m - k points)."""
-    return ChoiceSet(u.universe, borda_mask(u))
-
-
-def plurality(u: Profile) -> ChoiceSet:
-    """Maximizers of the first-place count."""
-    return ChoiceSet(u.universe, plurality_mask(u))
-
-
-def copeland(u: Profile) -> ChoiceSet:
-    return ChoiceSet(u.universe, copeland_mask(u))
-
-
-def dictatorship(u: Profile, i: int) -> ChoiceSet:
-    """The top choice of individual ``i`` (0-based)."""
-    if not 0 <= i < u.n:
-        raise ValueError(f"no individual {i} in a profile of {u.n}")
-    return ChoiceSet(u.universe, 1 << u.orderings[i][0])
-
-
-def constant_all(u: Profile) -> ChoiceSet:
-    """Every alternative, at every profile."""
-    return ChoiceSet(u.universe, u.universe.full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +270,10 @@ class Correspondence:
     """A total map from the profiles of one ``(m, n)`` domain to choice sets.
 
     ``default`` names a rule from the catalog; ``overrides`` maps specific
-    profiles (as ordering tuples) to fixed choice-set masks.  Evaluation is
-    pure and instances are immutable, so a correspondence can be shared
-    freely between workers.
+    profiles (as ordering tuples) to fixed choice-set masks.  When ``default``
+    names an example, the example's overrides apply under these ones.
+    Evaluation is pure and instances are immutable, so a correspondence can
+    be shared freely between workers.
     """
 
     def __init__(self, universe: Universe, n: int, default: str = "pareto",
@@ -322,15 +284,16 @@ class Correspondence:
         self.default = default
         self.overrides: dict[tuple[Ordering, ...], int] = dict(overrides or {})
         self.name = name or (default if not self.overrides else f"table({default})")
-        self._choose_base, self._fold = _resolve_base(default, universe, n)
+        self._base, self._choose_base, self._fold, below = _resolve_base(default, universe, n)
         full = universe.full_mask
         for key, mask in self.overrides.items():
             if len(key) != n:
                 raise ValueError(f"override profile has {len(key)} individuals, expected {n}")
             if not 0 < mask <= full:
                 raise ValueError(f"override value must be a non-empty subset mask, got {mask}")
-        self._tables: dict[tuple[int, int, str], np.ndarray] = {}
-        self._override_at: dict[tuple[int, int, str], tuple[np.ndarray, np.ndarray]] = {}
+        self._overrides = below | self.overrides if below else self.overrides
+        self._table: np.ndarray | None = None
+        self._override_at: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def m(self) -> int:
@@ -345,7 +308,7 @@ class Correspondence:
 
     def choose_mask(self, u: Profile) -> int:
         self._check_profile(u)
-        hit = self.overrides.get(u.orderings)
+        hit = self._overrides.get(u.orderings)
         if hit is not None:
             return hit
         return self._choose_base(u)
@@ -361,24 +324,20 @@ class Correspondence:
             )
 
     def value_table(self, d: DomainIndex) -> np.ndarray:
-        """(total,) uint8 mask per profile index; cached per domain."""
+        """(total,) uint8 mask per profile index; cached."""
         self._check_domain(d)
-        key = (d.m, d.n, d.universe.labels)
-        table = self._tables.get(key)
-        if table is None:
-            if isinstance(self._fold, Correspondence):  # an example's rule
-                table = self._fold.value_table(d)
-            elif self.default in ("pareto", "tops"):
-                table = getattr(d, f"{self.default}_table")  # the domain's own, read-only
+        if self._table is None:
+            if self._base in ("pareto", "tops"):
+                table = getattr(d, f"{self._base}_table")  # the domain's own, read-only
             else:
                 table = d.tabulate(self._fold(d))
-            if self.overrides:
+            if self._overrides:
                 table = table.copy()
                 ks, masks = self.override_index(d)
                 table[ks] = masks
             table.flags.writeable = False
-            self._tables[key] = table
-        return table
+            self._table = table
+        return self._table
 
     def values_at(self, d: DomainIndex, ks: np.ndarray) -> np.ndarray:
         """(len(ks),) uint8 masks at the profile indices ``ks``: read from the
@@ -386,14 +345,10 @@ class Correspondence:
         evaluated at ``ks`` alone, with the overrides looked up among their
         sorted indices."""
         self._check_domain(d)
-        table = self._tables.get((d.m, d.n, d.universe.labels))
-        if table is not None:
-            return table[ks]
-        if isinstance(self._fold, Correspondence):
-            out = self._fold.values_at(d, ks)
-        else:
-            out = d.evaluate(self._fold(d), ks)
-        if self.overrides:
+        if self._table is not None:
+            return self._table[ks]
+        out = d.evaluate(self._fold(d), ks)
+        if self._overrides:
             keys, masks = self.override_index(d)
             at = np.minimum(np.searchsorted(keys, ks), len(keys) - 1)
             hit = keys[at] == ks
@@ -407,35 +362,27 @@ class Correspondence:
         over the block alone (kept with the domain), with the overrides in the
         block's run of profile indices patched in."""
         self._check_domain(d)
-        table = self._tables.get((d.m, d.n, d.universe.labels))
-        if table is not None:
-            return table.reshape((d.order_count,) * d.n)[index]
-        if isinstance(self._fold, Correspondence):
-            out = self._fold.block_values(d, lo, index)
-        else:
-            out = np.empty([s.stop - s.start for s in index]
-                           + [d.order_count] * (d.n - len(index)), dtype=np.uint8)
-            out[...] = d.memo(self._fold)(d.block_fold(index))
-        if self.overrides:
+        if self._table is not None:
+            return self._table.reshape((d.order_count,) * d.n)[index]
+        out = np.empty([s.stop - s.start for s in index]
+                       + [d.order_count] * (d.n - len(index)), dtype=np.uint8)
+        out[...] = d.memo(self._fold)(d.block_fold(index))
+        if self._overrides:
             keys, masks = self.override_index(d)
             start, stop = np.searchsorted(keys, (lo, lo + out.size))
-            if start < stop:
-                if not out.flags.writeable:  # the inner rule's table
-                    out = out.copy()
-                out.reshape(-1)[keys[start:stop] - lo] = masks[start:stop]
+            out.reshape(-1)[keys[start:stop] - lo] = masks[start:stop]
         return out
 
     def override_index(self, d: DomainIndex) -> tuple[np.ndarray, np.ndarray]:
         """The overridden profiles' indices on ``d``, ascending, and their
-        masks; cached per domain."""
-        key = (d.m, d.n, d.universe.labels)
-        found = self._override_at.get(key)
-        if found is None:
-            ks = np.array([d.index_orderings(o) for o in self.overrides], dtype=np.int64)
+        masks, an example default's included; cached."""
+        self._check_domain(d)
+        if self._override_at is None:
+            ks = np.array([d.index_orderings(o) for o in self._overrides], dtype=np.int64)
             order = np.argsort(ks)
-            masks = np.array(list(self.overrides.values()), dtype=np.uint8)
-            found = self._override_at[key] = ks[order], masks[order]
-        return found
+            masks = np.array(list(self._overrides.values()), dtype=np.uint8)
+            self._override_at = ks[order], masks[order]
+        return self._override_at
 
     def deviation_indices(self, d: DomainIndex) -> np.ndarray:
         """Indices where this rule differs from the undominated-set rule."""
@@ -460,9 +407,9 @@ class Correspondence:
 
 
 def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
-        Callable[[Profile], int], Callable[[DomainIndex], Fold] | Correspondence]:
-    """A default rule: its mask at one profile, and its fold on a domain, or
-    for an example the example's own correspondence."""
+        str, Callable[[Profile], int], Callable[[DomainIndex], Fold], dict]:
+    """A default rule: the rule it rests on, its mask at one profile, its fold
+    on a domain, and its overrides: an example's own, and none otherwise."""
     simple: dict[str, tuple[Callable[[Profile], int], Callable[[DomainIndex], Fold]]] = {
         "pareto": (pareto_mask, undominated),
         "tops": (tops_mask, top_choices),
@@ -472,23 +419,23 @@ def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
         "all": (lambda u: u.universe.full_mask, _fold_all),
     }
     if name in simple:
-        return simple[name]
+        return (name, *simple[name], {})
     match = _DICTATOR_RE.match(name)
     if match:
         i = int(match.group(1)) - 1
         if not 0 <= i < n:
             raise ValueError(f"rule {name!r} needs an individual in 1..{n}")
-        return (lambda u: 1 << u.orderings[i][0]), (lambda d: _fold_dictator(d, i))
+        return name, (lambda u: 1 << u.orderings[i][0]), (lambda d: _fold_dictator(d, i)), {}
     match = _DROP_RE.match(name)
     if match:
         t = universe.index(match.group(1))
-        return (lambda u: _drop_one_mask(u, t)), (lambda d: _fold_drop_one(d, t))
+        return name, (lambda u: _drop_one_mask(u, t)), (lambda d: _fold_drop_one(d, t)), {}
     if name.startswith("example:"):
         inner = make_rule(name, universe.m, n)
         if inner.universe != universe:
             raise ValueError(f"rule {name!r} uses universe {inner.universe.labels!r}, "
                              f"not {universe.labels!r}")
-        return inner.choose_mask, inner
+        return inner._base, inner._choose_base, inner._fold, inner._overrides
     raise ValueError(f"unknown rule {name!r}")
 
 

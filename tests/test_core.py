@@ -16,13 +16,10 @@ from paretocheck import (
     check_axiom,
     enumerate_orderings,
     lower_one,
-    lower_to_just_below,
     make_rule,
     pareto_dominates,
     parse_profile,
     raise_one,
-    raise_to_just_below,
-    rank_of,
     replay_witness,
     transposition_sites,
 )
@@ -150,13 +147,16 @@ def test_whole_domain_table_rejects_unallocatable_size():
 def test_rank_of_second_position():
     u = parse_profile("xwzy|wxyz")
     x, w = u.universe.index("x"), u.universe.index("w")
-    assert rank_of(u.orderings[0], w) == 2
-    assert rank_of(u.orderings[0], x) == 1
+    d = DomainIndex(4, 2)
+    ranks = d.rank_table[d.ordering_index(u.orderings[0])]
+    assert ranks[w] + 1 == 2
+    assert ranks[x] + 1 == 1
 
 
 def test_ranks_form_full_range():
-    r = (2, 0, 3, 1)
-    assert sorted(rank_of(r, x) for x in range(4)) == [1, 2, 3, 4]
+    d = DomainIndex(4, 2)
+    ranks = d.rank_table[d.ordering_index((2, 0, 3, 1))]
+    assert sorted(int(ranks[x]) + 1 for x in range(4)) == [1, 2, 3, 4]
 
 
 def test_unanimous_dominance():
@@ -316,30 +316,6 @@ def test_raise_one_changes_one_adjacent_pair(m, n, data):
     assert diffs == [p - 1, p]
 
 
-def test_raise_to_just_below_noop_when_adjacent():
-    u = parse_profile("abc|cab")
-    assert raise_to_just_below(u, 0, 1, 0) == u
-
-
-def test_raise_to_just_below_multi_rank():
-    u = parse_profile("abcde|edcba")
-    v = raise_to_just_below(u, 0, u.universe.index("e"), u.universe.index("a"))
-    assert str(v).split("|")[0] == "aebcd"
-
-
-def test_lower_to_just_below_matches_lower_one_when_adjacent():
-    u = parse_profile("abcde|edcba")
-    assert lower_to_just_below(u, 0, 0, 1) == lower_one(u, 0, 0)
-
-
-def test_just_below_preconditions():
-    u = parse_profile("abc|cab")
-    with pytest.raises(ValueError):
-        raise_to_just_below(u, 0, 0, 1)  # a is above b already
-    with pytest.raises(ValueError):
-        lower_to_just_below(u, 0, 1, 0)  # b is below a already
-
-
 # -- symmetries --------------------------------------------------------------
 
 
@@ -363,7 +339,7 @@ def test_alternative_permutation_commutes_with_ranks(m, n, data):
     v = apply_alternative_permutation(u, theta)
     for i in range(n):
         for x in range(m):
-            assert rank_of(v.orderings[i], theta[x]) == rank_of(u.orderings[i], x)
+            assert v.orderings[i].index(theta[x]) == u.orderings[i].index(x)
     inverse = [0] * m
     for a, b in enumerate(theta):
         inverse[b] = a

@@ -5,18 +5,11 @@ import pytest
 
 from paretocheck import (
     DomainIndex,
-    borda,
-    constant_all,
-    copeland,
-    dictatorship,
     example_rule,
     load_table,
     make_rule,
-    pareto_set,
     pareto_set_by_elimination,
     parse_profile,
-    plurality,
-    tops_union,
 )
 from paretocheck import core
 from paretocheck.axioms import _orbit_minimum_candidates
@@ -24,21 +17,28 @@ from paretocheck.rules import (
     EXAMPLES,
     RULE_CATALOG,
     Correspondence,
+    pareto_mask,
     restricted_pair_profiles,
     tail_orderings_for_anchored_pair,
+    tops_mask,
 )
 
 
 # -- single-profile rule values ----------------------------------------------
 
 
+def _choose(name, text):
+    """Rule ``name``'s choice set at the profile ``text``, over its labels."""
+    u = parse_profile(text)
+    return make_rule(name, u.m, u.n, u.universe.labels).choose(u)
+
+
 def test_pareto_set_fixed_four_alternative_profile():
-    u = parse_profile("xyzw|ywxz|zwxy")
-    assert pareto_set(u).text() == "xyzw"
+    assert _choose("pareto", "xyzw|ywxz|zwxy").text() == "xyzw"
 
 
 def test_pareto_set_unanimous():
-    assert pareto_set(parse_profile("xyz|xyz|xyz")).text() == "x"
+    assert _choose("pareto", "xyz|xyz|xyz").text() == "x"
 
 
 def test_pareto_set_cyclic():
@@ -48,40 +48,39 @@ def test_pareto_set_cyclic():
         for y in range(3):
             if x != y:
                 assert not all(r.index(x) < r.index(y) for r in u.orderings)
-    assert pareto_set(u).text() == "xyz"
+    assert _choose("pareto", "xyz|yzx|zxy").text() == "xyz"
 
 
 def test_tops_union_values():
-    assert tops_union(parse_profile("xyzw|ywxz|zwxy")).text() == "xyz"
-    assert tops_union(parse_profile("xywzt|ztwxy")).text() == "xz"
-    assert tops_union(parse_profile("abc|abc")).text() == "a"
+    assert _choose("tops", "xyzw|ywxz|zwxy").text() == "xyz"
+    assert _choose("tops", "xywzt|ztwxy").text() == "xz"
+    assert _choose("tops", "abc|abc").text() == "a"
 
 
 def test_plurality_majority_of_tops():
-    assert plurality(parse_profile("xy|xy|yx")).text() == "x"
+    assert _choose("plurality", "xy|xy|yx").text() == "x"
 
 
 def test_borda_unanimous_strict_maximum():
-    assert borda(parse_profile("abc|abc")).text() == "a"
+    assert _choose("borda", "abc|abc").text() == "a"
 
 
 def test_copeland_cyclic_all_tied():
     # each alternative wins one pairwise majority and loses one
-    assert copeland(parse_profile("xyz|yzx|zxy")).text() == "xyz"
+    assert _choose("copeland", "xyz|yzx|zxy").text() == "xyz"
 
 
 def test_dictatorship_and_constant():
-    u = parse_profile("abc|cab")
-    assert dictatorship(u, 0).text() == "a"
-    assert dictatorship(u, 1).text() == "c"
+    assert _choose("dictator:1", "abc|cab").text() == "a"
+    assert _choose("dictator:2", "abc|cab").text() == "c"
     with pytest.raises(ValueError):
-        dictatorship(u, 2)
-    assert constant_all(u).text() == "abc"
+        make_rule("dictator:3", 3, 2)
+    assert _choose("all", "abc|cab").text() == "abc"
 
 
 def test_borda_scores_example():
     # hand-computed: a: 2+2+1, b: 1+1+2, c: 0+0+0
-    assert borda(parse_profile("abc|abc|bac")).text() == "a"
+    assert _choose("borda", "abc|abc|bac").text() == "a"
 
 
 # -- the elimination oracle --------------------------------------------------
@@ -91,7 +90,7 @@ def test_elimination_route_agrees_on_small_domains(d33, d42):
     for d in (d33, d42):
         for k in range(d.total):
             u = d.profile(k)
-            assert pareto_set(u).mask == pareto_set_by_elimination(u).mask
+            assert pareto_mask(u) == pareto_set_by_elimination(u).mask
 
 
 # -- invariants --------------------------------------------------------------
@@ -109,10 +108,10 @@ def test_tops_subset_of_pareto_and_nonempty(sizes):
 def test_two_alternative_collapse(sizes):
     # with both alternatives topped the two rules coincide; otherwise the
     # undominated set is the singleton top
-    d = DomainIndex(*sizes)
+    d, tops, pareto = DomainIndex(*sizes), make_rule("tops", *sizes), make_rule("pareto", *sizes)
     for k in range(d.total):
         u = d.profile(k)
-        t, p = tops_union(u), pareto_set(u)
+        t, p = tops.choose(u), pareto.choose(u)
         if len(t) == 2:
             assert t.mask == p.mask
         else:
@@ -163,7 +162,7 @@ def test_values_at_equals_the_value_table(random_table):
         keys = fresh.override_index(d)[0]
         ks = np.concatenate([rng.integers(0, d.total, 500), _orbit_minimum_candidates(d), keys])
         got = fresh.values_at(d, ks)
-        assert fresh._tables == {}, G.name
+        assert fresh._table is None, G.name
         assert np.array_equal(got, fresh.value_table(d)[ks]), G.name
         assert np.array_equal(fresh.values_at(d, ks), got), G.name
 
@@ -172,9 +171,8 @@ def test_values_at_equals_the_value_table(random_table):
 def test_block_values_equal_the_value_table(chunk, monkeypatch, random_table):
     # block_values folds the default rule over one block and patches in the
     # overrides in the block's run of indices, until the value table is built,
-    # and reads its slice after; a table over an example patches its own
-    # overrides, one of them at an example's override, into the example's
-    # block values, or into a copy of its table's slice once that is built
+    # and reads its slice after; a table over an example patches the
+    # example's overrides and its own, one of them at an example's override
     if chunk is not None:
         monkeypatch.setattr(core, "_CHUNK", chunk)
     cases = [(make_rule(name, m, n), DomainIndex(m, n)) for name in RULE_CATALOG
@@ -190,15 +188,13 @@ def test_block_values_equal_the_value_table(chunk, monkeypatch, random_table):
     over_example = {"m": 3, "n": 3, "labels": "xyz", "default": "example:4",
                     "overrides": {"xyz|xyz|zyx": ["z"], "xyz|yzx|zxy": ["y"],
                                   "zxy|yzx|xyz": ["y"]}}
-    inner_built = load_table(over_example)
-    inner_built._fold.value_table(xyz)
-    cases += [(load_table(over_example), xyz), (inner_built, xyz)]
+    cases.append((load_table(over_example), xyz))
     for G, d in cases:
         if chunk is not None and d.total > 5_000:  # thousands of blocks of a few profiles
             continue
         blocks = list(d.blocks())
         got = [G.block_values(d, lo, index) for lo, index in blocks]
-        assert G._tables == {}, G.name
+        assert G._table is None, G.name
         grid = G.value_table(d).reshape((d.order_count,) * d.n)
         for (lo, index), values in zip(blocks, got):
             assert values.dtype == np.uint8 and np.array_equal(values, grid[index]), (G.name, lo)
@@ -209,7 +205,7 @@ def test_evaluate_dispatch(d32):
     G = make_rule("pareto", 3, 2)
     for k in range(d32.total):
         u = d32.profile(k)
-        assert G.choose(u).mask == pareto_set(u).mask
+        assert G.choose(u).mask == pareto_mask(u)
 
 
 def test_evaluate_rejects_mismatched_profile():
@@ -248,21 +244,21 @@ def test_example_4_override_value():
     u = parse_profile("xyz|yzx|zxy", G.universe)
     assert G.choose(u).text() == "x"
     v = parse_profile("xyz|yzx|zyx", G.universe)
-    assert G.choose(v).mask == pareto_set(v).mask
+    assert G.choose(v).mask == pareto_mask(v)
 
 
 def test_example_5_values_and_orbit():
     G = example_rule(5)
     u = parse_profile("xyzw|ywxz|zwxy", G.universe)
     assert G.choose(u).text() == "xyz"
-    assert pareto_set(u).text() == "xyzw"
+    assert pareto_mask(u) == G.universe.mask_from_labels("xyzw")
     orbit = example_rule(5, "orbit")
     assert u.orderings in orbit.overrides
     assert len(orbit.overrides) > 1
     for key, mask in orbit.overrides.items():
         member = parse_profile("|".join("".join(orbit.universe.labels[a] for a in r) for r in key),
                                orbit.universe)
-        assert mask == tops_union(member).mask
+        assert mask == tops_mask(member)
 
 
 def test_example_6_drops_fixed_alternative():
@@ -370,14 +366,78 @@ def test_shared_tables_stay_intact():
 
 
 def test_table_over_an_example_default(d33xyz):
-    # the example's cached value table is read-only; the table's own
-    # overrides go into a copy of it
+    # the table's own overrides apply over the example's
     G = load_table({"m": 3, "n": 3, "labels": "xyz", "default": "example:4",
                     "overrides": {"xyz|xyz|zyx": ["z"]}})
     values = G.value_table(d33xyz)
     assert values[d33xyz.index(parse_profile("xyz|yzx|zxy", G.universe))] == 1  # {x}
     assert values[d33xyz.index(parse_profile("xyz|xyz|zyx", G.universe))] == 4  # {z}
     assert (values != d33xyz.pareto_table).sum() == 2
+
+
+_OVER_EXAMPLES = {
+    # xyz|yzx|zxy is example 4's own override, where it chooses x
+    "example-4": {"m": 3, "n": 3, "labels": "xyz", "default": "example:4",
+                  "overrides": {"xyz|yzx|zxy": ["y"], "xyz|xyz|zyx": ["z"]}},
+    # example 6 drops w from the undominated set, which is xy at xyzw|ywxz
+    "example-6": {"m": 4, "n": 2, "labels": "xyzw", "default": "example:6",
+                  "overrides": {"xyzw|ywxz": ["w"], "wxyz|wzyx": ["x", "w"]}},
+}
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("case", sorted(_OVER_EXAMPLES))
+def test_table_over_an_example_is_one_rule(case, chunk, monkeypatch):
+    # choose_mask, values_at, block_values and value_table agree at every
+    # profile: the example's value, except at the table's own overrides
+    if chunk is not None:
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+    data = _OVER_EXAMPLES[case]
+    G, example = load_table(data), make_rule(data["default"], data["m"], data["n"])
+    d = DomainIndex(G.m, G.n, G.universe.labels)
+    own = {d.index(d.parse(text)): G.universe.mask_from_labels("".join(chosen))
+           for text, chosen in data["overrides"].items()}
+    want = [own.get(k, example.choose_mask(d.profile(k))) for k in range(d.total)]
+    assert [G.choose_mask(d.profile(k)) for k in range(d.total)] == want
+    assert G.values_at(d, np.arange(d.total)).tolist() == want
+    blocks = np.empty(d.total, dtype=np.uint8)
+    for lo, index in d.blocks():
+        values = G.block_values(d, lo, index).reshape(-1)
+        blocks[lo:lo + values.size] = values
+    assert blocks.tolist() == want
+    assert G._table is None
+    assert G.value_table(d).tolist() == want
+    assert all(example.choose_mask(d.profile(k)) != mask for k, mask in own.items())
+
+
+def test_table_over_an_example_wins_at_its_override():
+    data = _OVER_EXAMPLES["example-4"]
+    G, example = load_table(data), example_rule(4)
+    d = DomainIndex(3, 3, "xyz")
+    u = d.parse("xyz|yzx|zxy")
+    assert u.orderings in example.overrides and example.choose(u).text() == "x"
+    assert G.choose(u).text() == "y"
+    y = G.universe.mask_from_labels("y")
+    assert G.value_table(d)[d.index(u)] == y
+    keys, masks = G.override_index(d)  # the example's and the table's, once each
+    assert dict(zip(keys.tolist(), masks.tolist()))[d.index(u)] == y and len(keys) == 2
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_EXAMPLES))
+def test_table_over_an_example_round_trips(case):
+    G = load_table(_OVER_EXAMPLES[case])
+    back = load_table(G.table_json())
+    assert (back.name, back.default, back.overrides) == (G.name, G.default, G.overrides)
+    assert back.table_json() == G.table_json() == _OVER_EXAMPLES[case]
+    d = DomainIndex(G.m, G.n, G.universe.labels)
+    assert np.array_equal(back.value_table(d), G.value_table(d))
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_EXAMPLES))
+def test_table_over_an_example_override_index_checks_the_domain(case):
+    G = load_table(_OVER_EXAMPLES[case])
+    with pytest.raises(ValueError, match="does not match rule"):
+        G.override_index(DomainIndex(G.m, G.n + 1, G.universe.labels))
 
 
 def test_catalog_names_unique_and_axioms_known():
@@ -411,7 +471,7 @@ def test_table_default_miss_returns_default_rule():
     hit = parse_profile("xyz|zyx", G.universe)
     miss = parse_profile("xyz|yxz", G.universe)
     assert G.choose(hit).text() == "x"
-    assert G.choose(miss).mask == pareto_set(miss).mask
+    assert G.choose(miss).mask == pareto_mask(miss)
 
 
 def test_table_validation_errors():
