@@ -25,8 +25,8 @@ _EXPORTS = {
         "lower_one", "pareto_dominates", "parse_profile", "raise_one", "transposition_sites",
     ),
     "rules": (
-        "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "example_rule", "load_table",
-        "make_rule", "pareto_set_by_elimination",
+        "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "load_table", "make_rule",
+        "pareto_set_by_elimination",
     ),
     "axioms": (
         "AXIOMS", "AxiomReport", "THEOREM_AXIOMS", "TheoremResult", "Witness", "axiom_matrix",

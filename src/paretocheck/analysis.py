@@ -29,9 +29,9 @@ from .axioms import (  # verify_theorem: benchmarks/workloads.py calls it from h
     AXIOMS,
     _orbit_minimum_candidates,
     check_axiom,
-    local_violations,
     replay_witness,
     verify_theorem,
+    violation_mask,
 )
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,6 @@ class Deviation:
     """A table correspondence differing from the undominated-set rule on one
     profile (single mode) or one symmetry orbit (orbit mode)."""
 
-    mode: str
     profiles: tuple[str, ...]
     choice_sets: tuple[tuple[str, ...], ...]
 
@@ -289,8 +288,13 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
         # passes exactly when g.S at g.base does.  So the S accepted at a base
         # are closed under the group elements that fix it, and any one element
         # that takes the base to a member w (the inverse of the relabelling
-        # ``canonical`` gives for w) maps them onto the S accepted at w.
-        accepted = ~local_violations(d, axiom_set, cols, sets, value_at)
+        # ``canonical`` gives for w) maps them onto the S accepted at w.  S is
+        # accepted when no constraint touching the base fails: a unary one
+        # there, or a move into or out of it.
+        viol = np.zeros(len(cols), dtype=bool)
+        for axiom in axiom_set:
+            viol |= violation_mask(d, axiom, cols, sets, value_at, both_ways=True)
+        accepted = ~viol
         for k, s in zip(cols[accepted].tolist(), sets[accepted].tolist()):
             found.setdefault(k, []).append(s)
         if left == 0:
@@ -304,7 +308,7 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
         listed.append((members, unrelabel[thetas[:, None], accepted_sets]))
     labels = [d.universe.mask_labels(s) for s in range(1 << d.m)]
     if mode == "orbit":
-        return [Deviation(mode, tuple(d.profile_text(w) for w in members.tolist()),
+        return [Deviation(tuple(d.profile_text(w) for w in members.tolist()),
                           tuple(labels[s] for s in choices.tolist()))
                 for members, table in listed for choices in table.T]
     if not listed:
@@ -314,7 +318,7 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
                                    for members, table in listed]))
     if cut is not None:
         keys = keys[keys <= cut[0] << d.m | cut[1]]
-    return [Deviation(mode, (d.profile_text(w),), (labels[s],))
+    return [Deviation((d.profile_text(w),), (labels[s],))
             for w, s in zip((keys >> d.m).tolist(), (keys & (1 << d.m) - 1).tolist())]
 
 
@@ -427,7 +431,8 @@ class ExampleReport:
 
 
 def _check_deviation(G: Correspondence, d: DomainIndex, mode: str) -> ExampleCheck:
-    diff, pv = G.deviation_indices(d), d.pareto_table
+    pv = d.pareto_table
+    diff = np.flatnonzero(G.value_table(d) != pv)
     keys, masks = G.override_index(d)
     if mode == "exact":
         ok = np.array_equal(diff, keys) and bool((masks != pv[keys]).all())

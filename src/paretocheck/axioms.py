@@ -307,17 +307,6 @@ def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
     return viol
 
 
-def local_violations(d: DomainIndex, axioms: Iterable[str], ks: np.ndarray, gu: np.ndarray,
-                     value_at: Callable[[np.ndarray | slice, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per row of ``ks`` (choice sets ``gu``), whether a constraint of one of
-    ``axioms`` touching that profile fails: a unary condition there, or a
-    move into or out of it (:func:`violation_mask` both ways)."""
-    out = np.zeros(len(ks), dtype=bool)
-    for axiom in axioms:
-        out |= violation_mask(d, axiom, ks, gu, value_at, both_ways=True)
-    return out
-
-
 def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
                       grid: np.ndarray, index: tuple) -> np.ndarray:
     """The grid evaluator: the forward violation mask of the block
@@ -709,7 +698,6 @@ class TheoremResult:
     verdict: str
     failing_axiom: str | None
     reports: tuple[AxiomReport, ...]
-    matches_pareto: bool | None
 
     def to_json(self) -> dict:
         return {
@@ -745,10 +733,10 @@ def verify_theorem(k: int, G: Correspondence, d: DomainIndex, *, workers: int = 
         reports.append(rep)
         if not rep.passed:
             return TheoremResult(k, G.name, d.m, d.n, CONSISTENT_COUNTEREXAMPLE,
-                                 axiom, tuple(reports), None)
+                                 axiom, tuple(reports))
     equal = _sweep("equals-pareto", G, d, workers)[1] < 0
     verdict = CONSISTENT_EQUAL if equal else THEOREM_CONTRADICTION
-    return TheoremResult(k, G.name, d.m, d.n, verdict, None, tuple(reports), equal)
+    return TheoremResult(k, G.name, d.m, d.n, verdict, None, tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -758,9 +746,6 @@ class MatrixResult:
     rules: tuple[str, ...]
     axioms: tuple[str, ...]
     reports: dict[str, dict[str, AxiomReport]]
-
-    def report(self, rule: str, axiom: str) -> AxiomReport:
-        return self.reports[rule][axiom]
 
     @property
     def all_pass(self) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 # numpy and the package modules load ahead of argparse: in this order a
 # process's peak RSS is about 0.3 MB lower
 from .core import DomainIndex, ParseError, parse_profile
-from .rules import Correspondence, load_table, make_rule
+from .rules import EXAMPLES, RULE_CATALOG, Correspondence, load_table, make_rule
 from .axioms import (AXIOMS, CONSISTENT_EQUAL, THEOREM_AXIOMS, THEOREM_M, axiom_matrix,
                      check_axioms, verify_theorem)
 
@@ -24,7 +24,7 @@ import sys
 from typing import Sequence
 
 DEFAULT_MAX_DOMAIN = 2_000_000
-DEFAULT_MATRIX_RULES = "pareto,tops,borda,plurality,copeland,dictator:1,all"
+DEFAULT_MATRIX_RULES = ",".join(RULE_CATALOG)
 
 
 class ConfigError(Exception):
@@ -194,7 +194,7 @@ def _cmd_matrix(args) -> int:
     for rule_name in result.rules:
         cells = []
         for a in axioms:
-            rep = result.report(rule_name, a)
+            rep = result.reports[rule_name][a]
             if rep.passed:
                 cells.append(f"{'✓':>17}")
             else:
@@ -208,6 +208,11 @@ def _cmd_matrix(args) -> int:
 def _cmd_example(args) -> int:
     from .analysis import reproduce_example
 
+    # example k's entries are reproduced at their claim sizes, or at --n when n is free
+    for entry in (e for name, e in EXAMPLES.items() if name.split("-")[0] == f"example:{args.k}"):
+        m, n = entry.claim_size
+        _guard_domain(m, n if args.n is None or "n" not in entry.free else args.n,
+                      args.max_domain)
     report = reproduce_example(args.k, n=args.n, workers=args.workers)
     text = "\n".join(
         f"{'ok  ' if c.passed else 'FAIL'} {c.name}" + (f" [{c.detail}]" if c.detail else "")
@@ -281,9 +286,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,13 +41,6 @@ Ordering = tuple[int, ...]
 Fold = Callable[[Callable[..., np.ndarray]], np.ndarray]
 
 
-def default_labels(m: int) -> str:
-    """Default display labels: 'a' for alternative 0, 'b' for 1, and so on."""
-    if not 2 <= m <= MAX_ALTERNATIVES:
-        raise ValueError(f"supported sizes are 2..{MAX_ALTERNATIVES} alternatives, got {m}")
-    return _LABEL_POOL[:m]
-
-
 @dataclass(frozen=True)
 class Universe:
     """The alternative set; position in ``labels`` is the alternative index."""
@@ -64,7 +57,10 @@ class Universe:
 
     @classmethod
     def of_size(cls, m: int) -> "Universe":
-        return cls(default_labels(m))
+        """The default labels: 'a' for alternative 0, 'b' for 1, and so on."""
+        if not 2 <= m <= MAX_ALTERNATIVES:
+            raise ValueError(f"supported sizes are 2..{MAX_ALTERNATIVES} alternatives, got {m}")
+        return cls(_LABEL_POOL[:m])
 
     @property
     def m(self) -> int:

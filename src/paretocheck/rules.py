@@ -219,15 +219,15 @@ class RuleCatalogEntry:
     the ``claim_size`` domain, ``(m, n)``.
 
     A named rule (:data:`RULE_CATALOG`) is its own ``default``.  An example
-    (:data:`EXAMPLES`) is ``default``, where ``{drop}`` stands for the
-    alternative to drop, plus the overrides that ``overrides(universe, n)``
-    builds, over the alternatives ``labels`` (a, b, ... when None).  Its
-    sizes are those of ``claim_size`` except the ones in ``free``, which
-    default to 3 and take any value from ``least`` up.  ``deviation`` says
-    where it differs from the undominated-set rule: at every override
-    (``exact``), wherever its ``drop:`` default removes an alternative
-    (``drop``), at the overrides where the tops are not the undominated set
-    (``tops-diff``), or nowhere in particular (``none``).
+    (:data:`EXAMPLES`) is ``default``, where ``{drop}`` stands for its last
+    label, plus the overrides that ``overrides(universe, n)`` builds, over
+    the alternatives ``labels`` (a, b, ... when None).  Its sizes are those
+    of ``claim_size`` except the ones in ``free``, which default to 3 and
+    take any value from ``least`` up.  ``deviation`` says where it differs
+    from the undominated-set rule: at every override (``exact``), wherever
+    its ``drop:`` default removes an alternative (``drop``), at the
+    overrides where the tops are not the undominated set (``tops-diff``), or
+    nowhere in particular (``none``).
     """
 
     name: str
@@ -384,10 +384,6 @@ class Correspondence:
             self._override_at = ks[order], masks[order]
         return self._override_at
 
-    def deviation_indices(self, d: DomainIndex) -> np.ndarray:
-        """Indices where this rule differs from the undominated-set rule."""
-        return np.nonzero(self.value_table(d) != d.pareto_table)[0]
-
     def table_json(self) -> dict:
         """JSON form of a table correspondence (see README for the schema)."""
         lbl = self.universe.labels
@@ -443,19 +439,42 @@ def make_rule(name: str, m: int | None = None, n: int | None = None,
               labels: str | None = None) -> Correspondence:
     """Build a catalog rule by name for an ``(m, n)`` domain.
 
-    Example rules, ``example:k`` or ``example:k-variant`` (found by their
-    :data:`EXAMPLES` key), carry their own default sizes, so ``m`` and ``n``
-    may be omitted for them; plain catalog rules require both.
+    Examples, ``example:k`` or ``example:k-variant`` (their :data:`EXAMPLES`
+    keys), carry their own default sizes, so ``m`` and ``n`` may be omitted
+    for them; plain catalog rules require both.
     """
-    if name.startswith("example:"):
-        k, dash, variant = name.removeprefix("example:").partition("-")
+    if not name.startswith("example:"):
+        if m is None or n is None:
+            raise ValueError(f"rule {name!r} needs explicit sizes m and n")
+        universe = Universe(labels) if labels else Universe.of_size(m)
+        return Correspondence(universe, n, default=name, name=name)
+    entry = EXAMPLES.get(name)
+    k, dash, variant = name.removeprefix("example:").partition("-")
+    if entry is None:
         if not k.isdecimal():
             raise ValueError(f"unknown rule {name!r}")
-        return example_rule(int(k), variant if dash else None, m=m, n=n, labels=labels)
-    if m is None or n is None:
-        raise ValueError(f"rule {name!r} needs explicit sizes m and n")
-    universe = Universe(labels) if labels else Universe.of_size(m)
-    return Correspondence(universe, n, default=name, name=name)
+        raise ValueError(f"example {k} has no {variant!r} variant" if dash
+                         else f"unknown example {k} (supported: 1..11)")
+    sizes = []
+    for axis, claim, given, least in zip("mn", entry.claim_size, (m, n), entry.least):
+        size = given if given is not None else (3 if axis in entry.free else claim)
+        if axis not in entry.free and size != claim:
+            raise ValueError(f"example {k} is defined for {axis}={claim}, got {axis}={size}")
+        if size < least:
+            raise ValueError(f"example {k} needs {axis} >= {least}, got {axis}={size}")
+        sizes.append(size)
+    em, en = sizes
+    labels = labels or entry.labels
+    universe = Universe(labels) if labels else Universe.of_size(em)
+    if universe.m != em:
+        raise ValueError(f"labels {universe.labels!r} do not match m={em}")
+    try:
+        overrides = entry.overrides(universe, en) if entry.overrides else None
+    except ParseError:  # the overrides name the entry's own labels
+        raise ValueError(f"example {k} is stated over the labels {entry.labels!r}, "
+                         f"got {universe.labels!r}") from None
+    return Correspondence(universe, en, default=entry.default.format(drop=universe.labels[-1]),
+                          overrides=overrides, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -586,45 +605,6 @@ EXAMPLES: dict[str, RuleCatalogEntry] = {e.name: e for e in (
 )}
 
 
-def example_rule(k: int, variant: str | None = None, *, m: int | None = None,
-                 n: int | None = None, labels: str | None = None,
-                 drop: str | None = None) -> Correspondence:
-    """Example correspondence ``k`` (1..11), optionally a named variant,
-    built from its :data:`EXAMPLES` entry.
-
-    Variants: ``example:5-orbit`` extends the single fixed profile to its
-    full symmetry orbit; ``example:8-neutral`` does the same for the fixed
-    pair; ``example:9-unrestricted`` drops the occurs-exactly-once condition
-    on the two anchor orderings.  ``drop`` names the alternative example 6
-    drops, by default its last label.
-    """
-    name = f"example:{k}" + ("" if variant is None else f"-{variant}")
-    entry = EXAMPLES.get(name)
-    if entry is None:
-        raise ValueError(f"unknown example {k} (supported: 1..11)" if variant is None
-                         else f"example {k} has no {variant!r} variant")
-    sizes = []
-    for axis, claim, given, least in zip("mn", entry.claim_size, (m, n), entry.least):
-        size = given if given is not None else (3 if axis in entry.free else claim)
-        if axis not in entry.free and size != claim:
-            raise ValueError(f"example {k} is defined for {axis}={claim}, got {axis}={size}")
-        if size < least:
-            raise ValueError(f"example {k} needs {axis} >= {least}, got {axis}={size}")
-        sizes.append(size)
-    em, en = sizes
-    labels = labels or entry.labels
-    universe = Universe(labels) if labels else Universe.of_size(em)
-    if universe.m != em:
-        raise ValueError(f"labels {universe.labels!r} do not match m={em}")
-    default = entry.default.format(drop=drop if drop is not None else universe.labels[-1])
-    try:
-        overrides = entry.overrides(universe, en) if entry.overrides else None
-    except ParseError:  # the overrides name the entry's own labels
-        raise ValueError(f"example {k} is stated over the labels {entry.labels!r}, "
-                         f"got {universe.labels!r}") from None
-    return Correspondence(universe, en, default=default, overrides=overrides, name=name)
-
-
 # ---------------------------------------------------------------------------
 # Table-correspondence files
 
@@ -633,19 +613,20 @@ def load_table(source: str | dict) -> Correspondence:
     """Build a table correspondence from its JSON form.
 
     Schema: ``{"m": int, "n": int, "default": rule-name,
-    "overrides": {"<profile>": ["x", "z"], ...}, "labels": "xyzw"?}``.
-    ``labels`` is optional; absent, labels come from the first override
-    profile's order of appearance, or default to 'a', 'b', ... .
+    "overrides": {"<profile>": ["x", "z"], ...}, "labels": "xyzw"?}``, each
+    profile named once.  ``labels`` is optional; absent, labels come from
+    the first override profile's order of appearance, or default to 'a',
+    'b', ... .
     """
     data = json.loads(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
         raise ValueError(f"a table file holds a JSON object, got {type(data).__name__}")
     try:
-        m, n, default = int(data["m"]), int(data["n"]), data["default"]
+        m, n, default = data["m"], data["n"], data["default"]
     except KeyError as exc:
         raise ValueError(f"table file is missing the {exc.args[0]!r} field") from None
-    except TypeError:
-        raise ValueError("the 'm' and 'n' fields are integers") from None
+    if type(m) is not int or type(n) is not int:  # not a float, a string or a bool
+        raise ValueError("the 'm' and 'n' fields are integers")
     raw, labels = data.get("overrides", {}), data.get("labels")
     for field, value, kind, what in (("default", default, str, "a rule name"),
                                      ("labels", labels, (str, type(None)), "a string"),
@@ -657,7 +638,7 @@ def load_table(source: str | dict) -> Correspondence:
     universe = Universe(labels) if labels else Universe.of_size(m)
     if universe.m != m:
         raise ValueError(f"labels {universe.labels!r} do not match m={m}")
-    overrides = {}
+    overrides, keys = {}, {}
     for text, chosen in raw.items():
         if not (isinstance(chosen, str)
                 or isinstance(chosen, list) and all(isinstance(c, str) for c in chosen)):
@@ -666,5 +647,8 @@ def load_table(source: str | dict) -> Correspondence:
         profile = parse_profile(text, universe)
         if profile.n != n:
             raise ValueError(f"override profile {text!r} has {profile.n} individuals, expected {n}")
+        first = keys.setdefault(profile.orderings, text)
+        if first != text:
+            raise ValueError(f"override keys {first!r} and {text!r} name one profile")
         overrides[profile.orderings] = universe.mask_from_labels("".join(chosen))
     return Correspondence(universe, n, default=default, overrides=overrides, name="table")

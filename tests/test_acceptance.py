@@ -16,7 +16,6 @@ from paretocheck import (
     check_axiom_reference,
     check_axioms,
     axiom_matrix,
-    example_rule,
     make_rule,
     pareto_set_by_elimination,
     perturbation_search,
@@ -60,7 +59,7 @@ def test_criterion_2_axiom_matrix_matches_documented_claims(d33):
         result = axiom_matrix(rules, AXIOMS, d33)
 
         def verdict(rule, axiom):
-            return result.report(rule, axiom).verdict
+            return result.reports[rule][axiom].verdict
 
         assert verdict("tops", "balancedness") == "fail"
         assert verdict("plurality", "balancedness") == "fail"
@@ -79,7 +78,7 @@ def test_criterion_2_axiom_matrix_matches_documented_claims(d33):
         # every failing cell carries a witness that replays against the rule
         for G in rules:
             for axiom in AXIOMS:
-                rep = result.report(G.name, axiom)
+                rep = result.reports[G.name][axiom]
                 if not rep.passed:
                     assert replay_witness(G, d33, rep), (G.name, rep.summary())
 

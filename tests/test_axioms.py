@@ -15,7 +15,6 @@ from paretocheck import (
     check_axiom_reference,
     check_axioms,
     axiom_matrix,
-    example_rule,
     lower_one,
     make_rule,
     parse_profile,
@@ -73,7 +72,7 @@ def test_constant_rule_pareto_witness_is_first_profile(d33):
 
 
 def test_example_11_pareto_witness_is_unanimous(d32):
-    G = example_rule(11, m=3, n=2)
+    G = make_rule("example:11", 3, 2)
     rep = check_axiom("pareto", G, DomainIndex(3, 2, G.universe.labels))
     assert not rep.passed
     assert rep.witness.profiles == ("abc|abc",)
@@ -89,7 +88,7 @@ def test_tops_in_failures(d33):
 
 
 def test_example_4_tops_in_witness(d33xyz):
-    G = example_rule(4)
+    G = make_rule("example:4")
     rep = check_axiom("tops-in", G, d33xyz)
     assert not rep.passed
     assert rep.witness.profiles == ("xyz|yzx|zxy",)
@@ -106,7 +105,7 @@ def test_balancedness_verdicts(d33):
 
 
 def test_example_10_balancedness_canonical_witness():
-    G = example_rule(10)
+    G = make_rule("example:10")
     d = DomainIndex(3, 3, G.universe.labels)
     rep = check_axiom("balancedness", G, d)
     assert not rep.passed
@@ -123,7 +122,7 @@ def test_monotonicity_verdicts(d33):
 
 
 def test_example_5_monotonicity_fails(d43xyzw):
-    G = example_rule(5)
+    G = make_rule("example:5")
     rep = check_axiom("monotonicity", G, d43xyzw)
     assert not rep.passed
     # the fixed profile is involved in the canonical violation
@@ -132,7 +131,7 @@ def test_example_5_monotonicity_fails(d43xyzw):
 
 
 def test_example_9_unrestricted_monotonicity_fails(d53paper):
-    G = example_rule(9, "unrestricted")
+    G = make_rule("example:9-unrestricted")
     rep = check_axiom("monotonicity", G, d53paper)
     assert not rep.passed
     # the documented violating move, checked directly
@@ -150,7 +149,7 @@ def test_weak_monotonicity_is_implied_by_monotonicity(d33):
 
 
 def test_example_10_passes_weak_monotonicity():
-    G = example_rule(10)
+    G = make_rule("example:10")
     d = DomainIndex(3, 3, G.universe.labels)
     assert check_axiom("weak-monotonicity", G, d).passed
 
@@ -172,7 +171,7 @@ def test_borda_strong_stability_documented_move():
 
 
 def test_example_8_strong_stability_fails(d52paper):
-    G = example_rule(8)
+    G = make_rule("example:8")
     rep = check_axiom("strong-stability", G, d52paper)
     assert not rep.passed
     u = parse_profile("xywzt|ztwxy", d52paper.universe)
@@ -185,7 +184,7 @@ def test_anonymity_neutrality_verdicts(d33, d52paper):
     assert check_axiom("neutrality", make_rule("pareto", 3, 3), d33).passed
     rep = check_axiom("anonymity", make_rule("dictator:1", 3, 3), d33)
     assert not rep.passed
-    G8 = example_rule(8)
+    G8 = make_rule("example:8")
     assert check_axiom("anonymity", G8, d52paper).passed
     assert not check_axiom("neutrality", G8, d52paper).passed
 
@@ -208,12 +207,12 @@ def test_every_failing_witness_replays(name, d33):
 
 
 def test_example_rule_witnesses_replay():
-    for k, variant in [(4, None), (5, None), (8, None), (10, None), (11, None)]:
-        G = example_rule(k, variant)
+    for name in ["example:4", "example:5", "example:8", "example:10", "example:11"]:
+        G = make_rule(name)
         d = DomainIndex(G.m, G.n, G.universe.labels)
         for rep in check_axioms(G, d):
             if not rep.passed:
-                assert replay_witness(G, d, rep), (k, rep.summary())
+                assert replay_witness(G, d, rep), (name, rep.summary())
 
 
 def test_replay_rejects_tampered_witness(d33):
@@ -277,7 +276,8 @@ def test_oracle_witnesses_are_pinned(d33, d32, d43xyzw, d52paper, random_table):
     def w(profiles, individuals, alternatives, observed, expected):
         return Witness(profiles, individuals, alternatives, observed, expected)
 
-    dictator, ex5, ex8 = make_rule("dictator:1", 3, 3), example_rule(5), example_rule(8)
+    dictator, ex5, ex8 = (make_rule("dictator:1", 3, 3), make_rule("example:5"),
+                          make_rule("example:8"))
     got = [
         check_axiom("pareto", make_rule("all", 3, 3), d33),
         check_axiom("tops-in", make_rule("borda", 3, 3), d33),
@@ -325,7 +325,7 @@ def test_fast_checkers_match_reference_at_3_2(name, d32):
 
 
 def test_fast_checkers_match_reference_on_table_rules(d33xyz):
-    G = example_rule(4)
+    G = make_rule("example:4")
     for axiom in AXIOMS:
         assert check_axiom(axiom, G, d33xyz) == check_axiom_reference(axiom, G, d33xyz)
 
@@ -516,8 +516,8 @@ def test_quotient_and_full_sweeps_agree(sizes, monkeypatch):
 
 
 def test_quotient_and_full_sweeps_agree_on_symmetric_examples(monkeypatch):
-    rules = [example_rule(1), example_rule(3), example_rule(7), example_rule(11),
-             example_rule(5, "orbit"), example_rule(8, "neutral")]
+    rules = [make_rule(name) for name in ("example:1", "example:3", "example:7", "example:11",
+                                          "example:5-orbit", "example:8-neutral")]
     for G in rules:
         d = DomainIndex(G.m, G.n, G.universe.labels)
         # the overridden examples lie over the Pareto rule, which passes
@@ -542,7 +542,7 @@ def test_sweep_paths_of_asymmetric_rules(random_table):
     # a default with no symmetry claim sweeps densely; overrides over the
     # Pareto rule, symmetric or not, are checked where they touch
     for G, dom, path in [(make_rule("dictator:1", 3, 3), d, "dense"), (neutral, d, "overrides"),
-                         (example_rule(9), d53, "overrides")]:
+                         (make_rule("example:9"), d53, "overrides")]:
         assert axioms._sweep("balancedness", G, dom, 1)[0] == path, G.name
     tables = [random_table(d, seed) for seed in range(8)]
     assert sum(not (check_axiom("anonymity", G, d).passed
@@ -628,19 +628,23 @@ def test_tables_over_one_default_share_its_sweep(monkeypatch, random_table):
             assert check_axiom(axiom, G, d) == check_axiom(axiom, G, DomainIndex(3, 3))
 
 
-@pytest.mark.parametrize("sizes", GP_SIZES, ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("sizes", GP_SIZES + ((2, 5), (3, 4)), ids=lambda s: "%dx%d" % s)
 def test_symmetric_catalog_claims_hold(sizes):
-    # the quotient sweep rests on these claims
+    # the quotient sweep rests on these claims, made at (3,3): every
+    # anonymity and neutrality claim of the catalog holds at more sizes
     d = DomainIndex(*sizes)
     thetas = enumerate_orderings(d.m)
     on_orderings = np.array([[d.ordering_index(tuple(theta[a] for a in r)) for r in d.orderings]
                              for theta in thetas])
     on_masks = np.array([[permute_mask(s, theta) for s in range(1 << d.m)] for theta in thetas])
     digits = [d.digit(i, np.arange(d.total)) for i in range(d.n)]
-    for name in SYMMETRIC:
+    for name, entry in RULE_CATALOG.items():
         G = make_rule(name, *sizes)
-        assert check_axiom("anonymity", G, d).passed, name
-        assert check_axiom("neutrality", G, d).passed, name
+        claimed = entry.expected_axioms | entry.expected_failures
+        for axiom in {"anonymity", "neutrality"} & claimed:
+            assert check_axiom(axiom, G, d).passed == (axiom in entry.expected_axioms), name
+        if name not in SYMMETRIC:
+            continue
         if d.total <= 1000:  # the object-level loop over the whole group
             assert check_axiom_reference("anonymity", G, d, wide=True).passed, name
             assert check_axiom_reference("neutrality", G, d, wide=True).passed, name
@@ -680,7 +684,7 @@ def test_generator_neutrality_agrees_with_bruteforce(name, sizes):
 
 
 def test_generator_neutrality_agrees_on_example_8(d52paper):
-    G = example_rule(8)
+    G = make_rule("example:8")
     assert (check_axiom("neutrality", G, d52paper).passed
             == check_axiom_reference("neutrality", G, d52paper, wide=True).passed is False)
 
@@ -697,7 +701,7 @@ def test_single_step_monotonicity_agrees_with_multistep(name, d32):
 
 
 def test_multistep_detects_example_5_failure(d43xyzw):
-    G = example_rule(5)
+    G = make_rule("example:5")
     assert not check_axiom_reference("monotonicity", G, d43xyzw, wide=True).passed
 
 
@@ -754,7 +758,7 @@ def test_worker_counts_give_identical_reports(d33):
 
 
 def test_worker_counts_give_identical_json_at_5_2(d52paper):
-    G = example_rule(8)
+    G = make_rule("example:8")
     blobs = []
     for workers in (1, 2, 4):
         reports = [check_axiom(a, G, d52paper, workers=workers) for a in AXIOMS]
@@ -789,7 +793,7 @@ def test_unknown_axiom_rejected(d33):
 def test_domain_mismatch_names_the_rule(d33):
     # the error names example 4, not the copy of its default 'pareto' over
     # 'xyz' that the override path checks first
-    G = example_rule(4)
+    G = make_rule("example:4")
     for axiom in AXIOMS:
         with pytest.raises(ValueError, match="does not match rule 'example:4' over 'xyz'"):
             check_axiom(axiom, G, d33)
@@ -797,8 +801,8 @@ def test_domain_mismatch_names_the_rule(d33):
     pareto, names = make_rule("pareto", 3, 3), ("pareto", "tops-in")
     result = axiom_matrix([pareto, G], names, d33)
     xyz = DomainIndex(3, 3, "xyz")
-    assert [result.report("example:4", a) for a in names] == check_axioms(G, xyz, names)
-    assert [result.report("pareto", a) for a in names] == check_axioms(pareto, d33, names)
+    assert [result.reports["example:4"][a] for a in names] == check_axioms(G, xyz, names)
+    assert [result.reports["pareto"][a] for a in names] == check_axioms(pareto, d33, names)
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -100,6 +100,11 @@ def test_check_unknown_rule_and_axiom(capsys):
     ('{"m": 3, "n": 2, "default": "pareto", "overrides": {"abc|abc": 5}}', "'abc|abc'"),
     ('{"m": 3, "n": 2, "default": "pareto", "overrides": [["abc|abc", "a"]]}', "'overrides'"),
     ('{"m": [3], "n": 2, "default": "pareto"}', "'m'"),
+    ('{"m": 3.7, "n": 2, "default": "pareto"}', "'m'"),
+    ('{"m": "3", "n": 2, "default": "pareto"}', "'m'"),
+    ('{"m": 3, "n": true, "default": "pareto"}', "'n'"),
+    ('{"m": 3, "n": 2, "default": "pareto", "overrides": {"abc|bca": "a", "abc | bca": "b"}}',
+     "'abc|bca' and 'abc | bca'"),
     ('{"m": 3, "n": 2, "default": 5}', "'default'"),
     ('{"m": 3, "n": 2, "default": "pareto", "labels": 5}', "'labels'"),
 ])
@@ -195,6 +200,14 @@ def test_example_2_cli(capsys):
 def test_example_unknown(capsys):
     code, _, err = run(capsys, "example", "12")
     assert code == 2
+    assert "unknown example" in err
+
+
+def test_example_domain_cap(capsys):
+    # example 9 at n = 4 has 207,360,000 profiles; it is refused before any sweep
+    code, out, err = run(capsys, "example", "9", "--n", "4")
+    assert code == 2 and out == ""
+    assert "max-domain" in err
 
 
 # -- theorem ---------------------------------------------------------------------
@@ -308,7 +321,7 @@ _EXPORTS = {
         "lower_one", "pareto_dominates", "parse_profile", "raise_one", "transposition_sites",
     ),
     "rules": (
-        "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "example_rule", "load_table",
+        "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "load_table",
         "make_rule", "pareto_set_by_elimination",
     ),
     "axioms": (

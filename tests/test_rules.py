@@ -5,7 +5,6 @@ import pytest
 
 from paretocheck import (
     DomainIndex,
-    example_rule,
     load_table,
     make_rule,
     pareto_set_by_elimination,
@@ -220,18 +219,18 @@ def test_evaluate_rejects_mismatched_profile():
 
 
 def test_example_rules_deviate_exactly_as_declared():
-    for k, variant in [(4, None), (5, None), (5, "orbit"), (8, None), (8, "neutral"),
-                       (9, None), (10, None), (11, None)]:
-        G = example_rule(k, variant)
+    for name in ["example:4", "example:5", "example:5-orbit", "example:8", "example:8-neutral",
+                 "example:9", "example:10", "example:11"]:
+        G = make_rule(name)
         d = DomainIndex(G.m, G.n, G.universe.labels)
-        diff = G.deviation_indices(d)
+        diff = np.flatnonzero(G.value_table(d) != d.pareto_table)
         declared = sorted(d.index_orderings(key) for key in G.overrides)
-        assert list(diff) == declared, (k, variant)
+        assert list(diff) == declared, name
 
 
 def test_example_9_unrestricted_deviates_only_inside_subdomain(d53paper):
-    G = example_rule(9, "unrestricted")
-    diff = set(G.deviation_indices(d53paper).tolist())
+    G = make_rule("example:9-unrestricted")
+    diff = set(np.flatnonzero(G.value_table(d53paper) != d53paper.pareto_table).tolist())
     keys = {d53paper.index_orderings(key) for key in G.overrides}
     assert diff <= keys
     expected = {k for k in keys
@@ -240,7 +239,7 @@ def test_example_9_unrestricted_deviates_only_inside_subdomain(d53paper):
 
 
 def test_example_4_override_value():
-    G = example_rule(4)
+    G = make_rule("example:4")
     u = parse_profile("xyz|yzx|zxy", G.universe)
     assert G.choose(u).text() == "x"
     v = parse_profile("xyz|yzx|zyx", G.universe)
@@ -248,11 +247,11 @@ def test_example_4_override_value():
 
 
 def test_example_5_values_and_orbit():
-    G = example_rule(5)
+    G = make_rule("example:5")
     u = parse_profile("xyzw|ywxz|zwxy", G.universe)
     assert G.choose(u).text() == "xyz"
     assert pareto_mask(u) == G.universe.mask_from_labels("xyzw")
-    orbit = example_rule(5, "orbit")
+    orbit = make_rule("example:5-orbit")
     assert u.orderings in orbit.overrides
     assert len(orbit.overrides) > 1
     for key, mask in orbit.overrides.items():
@@ -262,28 +261,28 @@ def test_example_5_values_and_orbit():
 
 
 def test_example_6_drops_fixed_alternative():
-    G = example_rule(6)
+    G = make_rule("example:6")
     u = parse_profile("xyzw|ywxz|zwxy", G.universe)  # w undominated here
     assert G.choose(u).text() == "xyz"
     unanimous_w = parse_profile("wxyz|wxyz|wxyz", G.universe)
     assert G.choose(unanimous_w).text() == "w"
-    other = example_rule(6, drop="x")
+    other = make_rule("drop:x", 4, 3, "xyzw")
     assert other.choose(u).text() == "yzw"
 
 
 def test_example_8_fixed_pair():
-    G = example_rule(8)
+    G = make_rule("example:8")
     assert G.choose(parse_profile("xywzt|ztwxy", G.universe)).text() == "xz"
     assert G.choose(parse_profile("ztwxy|xywzt", G.universe)).text() == "xz"
     assert len(G.overrides) == 2
 
 
 def test_example_9_subdomain_structure():
-    tails = tail_orderings_for_anchored_pair(example_rule(9).universe)
+    tails = tail_orderings_for_anchored_pair(make_rule("example:9").universe)
     assert len(tails) == 6
-    profiles = restricted_pair_profiles(example_rule(9).universe, 3)
+    profiles = restricted_pair_profiles(make_rule("example:9").universe, 3)
     assert len(profiles) == 3 * 2 * 6
-    G = example_rule(9)
+    G = make_rule("example:9")
     assert len(G.overrides) == 36
     u = parse_profile("xywzt|ztwxy|xyztw", G.universe)
     assert G.choose(u).text() == "xz"
@@ -293,7 +292,7 @@ def test_example_9_subdomain_structure():
 
 
 def test_example_11_agreement_profiles():
-    G = example_rule(11, m=3, n=2)
+    G = make_rule("example:11", 3, 2)
     assert G.choose(parse_profile("abc|abc", G.universe)).text() == "ab"
     assert G.choose(parse_profile("cba|cba", G.universe)).text() == "bc"
     assert len(G.overrides) == 6
@@ -301,36 +300,36 @@ def test_example_11_agreement_profiles():
 
 def test_example_size_validation():
     with pytest.raises(ValueError):
-        example_rule(8, n=3)
+        make_rule("example:8", n=3)
     with pytest.raises(ValueError):
-        example_rule(9, n=2)
+        make_rule("example:9", n=2)
     with pytest.raises(ValueError):
-        example_rule(4, m=4)
+        make_rule("example:4", 4)
     with pytest.raises(ValueError):
-        example_rule(12)
+        make_rule("example:12")
     with pytest.raises(ValueError):
-        example_rule(4, "orbit")
+        make_rule("example:4-orbit")
 
 
 def test_example_labels_must_match_size():
     with pytest.raises(ValueError, match="do not match m=2"):
-        example_rule(2, labels="abc")
+        make_rule("example:2", labels="abc")
     with pytest.raises(ValueError, match="do not match m=3"):
-        example_rule(1, labels="abcd")
-    assert example_rule(1, m=4, labels="abcd").universe.labels == "abcd"
+        make_rule("example:1", labels="abcd")
+    assert make_rule("example:1", 4, labels="abcd").universe.labels == "abcd"
 
 
 def test_example_overrides_keep_their_own_labels():
     # overrides written as profile text are stated over the entry's labels
     for k, labels, stated in [(4, "abc", "xyz"), (5, "abcd", "xyzw"), (10, "xyz", "abc")]:
         with pytest.raises(ValueError) as info:
-            example_rule(k, labels=labels)
+            make_rule(f"example:{k}", labels=labels)
         assert str(info.value) == (f"example {k} is stated over the labels {stated!r}, "
                                    f"got {labels!r}")
     # examples without overrides take any labels
-    assert example_rule(2, labels="ab").universe.labels == "ab"
-    assert example_rule(6, n=2, labels="abcd").default == "drop:d"
-    assert example_rule(7, n=4, labels="abcd").universe.labels == "abcd"
+    assert make_rule("example:2", labels="ab").universe.labels == "ab"
+    assert make_rule("example:6", n=2, labels="abcd").default == "drop:d"
+    assert make_rule("example:7", n=4, labels="abcd").universe.labels == "abcd"
 
 
 @pytest.mark.parametrize("name, error", [
@@ -412,7 +411,7 @@ def test_table_over_an_example_is_one_rule(case, chunk, monkeypatch):
 
 def test_table_over_an_example_wins_at_its_override():
     data = _OVER_EXAMPLES["example-4"]
-    G, example = load_table(data), example_rule(4)
+    G, example = load_table(data), make_rule("example:4")
     d = DomainIndex(3, 3, "xyz")
     u = d.parse("xyz|yzx|zxy")
     assert u.orderings in example.overrides and example.choose(u).text() == "x"
@@ -454,7 +453,7 @@ def test_catalog_names_unique_and_axioms_known():
 
 
 def test_table_json_round_trip(d33xyz):
-    G = example_rule(4)
+    G = make_rule("example:4")
     data = G.table_json()
     back = load_table(json.dumps(data))
     assert back.m == 3 and back.n == 3
