@@ -14,8 +14,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import core
 from .core import (
+    MAX_ALTERNATIVES,
     DomainIndex,
     Profile,
     TranspositionSite,
@@ -27,7 +27,6 @@ from .core import (
 from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
 from .axioms import (  # verify_theorem: benchmarks/workloads.py calls it from here
     AXIOMS,
-    _orbit_minimum_candidates,
     check_axiom,
     replay_witness,
     verify_theorem,
@@ -205,9 +204,10 @@ def _single_cut(d: DomainIndex, budget: int) -> tuple[int, int] | None:
 
 def _orbit(d: DomainIndex, k: int) -> np.ndarray:
     """The members of profile k's S_m x S_n orbit, ascending."""
-    act = d.memo(core.ordering_relabels)
     rhos = np.array(list(itertools.permutations(range(d.n))))
-    relabeled = act[:, [d.digit(i, k) for i in range(d.n)]]  # every theta, (m!, n)
+    digits = [d.digit(i, k) for i in range(d.n)]
+    # k's orderings relabelled by every theta, (m!, n)
+    relabeled = d.sequence_index(lambda p: d.rank_table[:, d.ordering_table[digits, p]])
     images = np.sort((relabeled[:, rhos] * np.array(d.places, dtype=np.int64)).sum(axis=-1),
                      axis=None)
     return images[np.diff(images, prepend=-1) != 0]
@@ -240,17 +240,18 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     axiom_set = frozenset(axioms)
-    d.memo(core.ordering_relabels)  # raises past m = 7, before any other table
+    if d.m == MAX_ALTERNATIVES:
+        raise ValueError(f"the search reads the ({d.m},{d.n}) domain's whole Pareto and tops tables, "
+                         f"{d.total} bytes each; it supports up to {MAX_ALTERNATIVES - 1} alternatives")
     unrelabel = d.memo(_unrelabel_masks)
     pv, tv = d.pareto_table, d.tops_table
     # Both modes check one base per S_m x S_n orbit, its smallest profile.  A
     # single-mode orbit meets the first ``budget`` candidates only if its base does
     cut = _single_cut(d, budget) if mode == "single" else None
-    bases = d.memo(_orbit_minimum_candidates)
+    bases = d.orbit_minima
     if cut is not None:
         bases = bases[:np.searchsorted(bases, cut[0], side="right")]
     bases = bases[pv[bases] != tv[bases]]
-    bases = bases[d.canonical(bases)[0] == bases]
 
     masks = np.arange(1 << d.m, dtype=np.uint8)
     step = max(1, _SEARCH_CELLS >> d.m)

@@ -18,8 +18,8 @@ one block of a rule's whole-domain value table at a time.  The sparse one
 follows the moves out of given profiles, on the rule's fold evaluated at
 them and their moves' targets alone.  It serves the perturbation search,
 which runs the predicates both ways, and the sweeps of a rule whose default
-is anonymous and neutral: one candidate profile per orbit of relabellings
-and reorderings, then the profiles its overrides touch.
+is anonymous and neutral: the smallest profile of each orbit of
+relabellings and reorderings, then the profiles its overrides touch.
 
 An independent object-level oracle keeps the edge layer honest about what a
 violation is.  It is one table, ``_ORACLE``, giving each axiom a listing of
@@ -295,7 +295,7 @@ def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
     """
     if axiom in _UNARY:
         fold, bad = _UNARY[axiom]
-        return bad(gu, d.evaluate(fold(d), ks))
+        return bad(gu, d.evaluate(d.memo(fold), ks))
     family, bad = _EDGES[axiom]
     viol = np.zeros(len(ks), dtype=bool)
     for rows, v, a, b in _moves_at(d, d.memo(family), ks):
@@ -363,29 +363,14 @@ def _first_hit(chunks: Iterable, first: Callable[[object], int], workers: int) -
 # maps every move of every family above to a move of the same family, and
 # every predicate follows the relabelling.  So for an anonymous and neutral
 # rule each axiom's set of flagged profiles is a union of S_m x S_n orbits,
-# and its smallest member is the smallest profile of its orbit: individual 1
-# at ordering 0 (a relabelling takes any ordering there) and the other
-# individuals' orderings non-decreasing (reordering them sorts the digits).
-# The first flagged profile among those candidates is the sweep's hit.
+# and its smallest member is the smallest profile of its orbit.  The first
+# flagged profile among those minima (:attr:`DomainIndex.orbit_minima`) is
+# the sweep's hit.
 #
 # A table rule is such a default rule D plus overrides O.  When D passes,
 # every violated constraint has an end in O, so the profiles flagged are
 # among O and the targets of O's moves (each family being an involution,
 # these are every profile with a move into O).
-
-
-def _orbit_minimum_candidates(d: DomainIndex) -> np.ndarray:
-    """Ascending indices of the profiles with individual 1 at ordering 0 and
-    a non-decreasing tail of orderings, C(m!+n-2, n-1) of them."""
-    ks = np.zeros(1, dtype=np.int64)
-    last = np.zeros(1, dtype=np.int64)
-    for i in range(1, d.n):
-        # each row extends by every ordering from its last one up, in order
-        reps = d.order_count - last
-        starts = np.repeat(np.cumsum(reps) - reps, reps)
-        last = np.repeat(last, reps) + np.arange(len(starts)) - starts
-        ks = np.repeat(ks, reps) + last * d.places[i]
-    return ks
 
 
 def _symmetric_default(G: Correspondence) -> Correspondence | None:
@@ -417,10 +402,10 @@ def _default_hits(d: DomainIndex) -> dict[tuple[str, str], int]:
 
 def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple[str, int]:
     """The smallest profile flagged for ``axiom`` under ``G``, or -1, and the
-    path that found it: ``quotient`` (a symmetric rule on the orbit-minimum
-    candidates), ``overrides`` (a passing symmetric default, then the
-    profiles its overrides touch) or ``dense`` (every profile, block by
-    block).  ``axiom`` is a row of ``_EDGES`` or ``_UNARY``, so also
+    path that found it: ``quotient`` (a symmetric rule on the orbit
+    minima), ``overrides`` (a passing symmetric default, then the profiles
+    its overrides touch) or ``dense`` (every profile, block by block).
+    ``axiom`` is a row of ``_EDGES`` or ``_UNARY``, so also
     ``equals-pareto``: -1 then says that ``G`` chooses the undominated set at
     every profile.  A dense ``_UNARY`` row reads each block's values alone
     (:meth:`Correspondence.block_values`), so it builds no whole-domain
@@ -430,14 +415,13 @@ def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple
     moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
     D = None if axiom in ("anonymity", "neutrality") else _symmetric_default(G)
     if D is not None:
-        candidates = d.memo(_orbit_minimum_candidates)
         if D is G:
-            return "quotient", _sparse_hit(d, axiom, G, candidates, workers)
+            return "quotient", _sparse_hit(d, axiom, G, d.orbit_minima, workers)
         # the default's verdict holds for every table over it on this domain
         hits = d.memo(_default_hits)
         key = (G.default, axiom)
         if key not in hits:
-            hits[key] = _sparse_hit(d, axiom, D, candidates, workers)
+            hits[key] = _sparse_hit(d, axiom, D, d.orbit_minima, workers)
         if hits[key] < 0:
             keys = G.override_index(d)[0]
             touched = np.sort(np.concatenate([keys, *(v for _, v, _, _ in _moves_at(d, moves, keys))]))
@@ -647,8 +631,8 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
 
     Axioms other than anonymity and neutrality take a sparse path when the
     rule's default D is in the catalog with claims of both.  D is checked on
-    one candidate profile per orbit of relabellings and reorderings, on its
-    fold evaluated there; without overrides that is the report.  When D
+    the smallest profile of each orbit of relabellings and reorderings, on
+    its fold evaluated there; without overrides that is the report.  When D
     passes, the overrides are checked at their own profiles and at their
     moves' targets, where every violation then lies.  Every other check
     sweeps the whole domain, block by block: pareto and tops-in on each

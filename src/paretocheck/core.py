@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 MAX_ALTERNATIVES = 8
-DEFAULT_MAX_INDIVIDUALS = 6
+MAX_INDIVIDUALS = 6
 
 _LABEL_POOL = "abcdefgh"
 
@@ -371,15 +371,11 @@ class DomainIndex:
     can be used concurrently from any number of workers.
     """
 
-    def __init__(self, m: int, n: int, labels: str | None = None, *,
-                 max_individuals: int = DEFAULT_MAX_INDIVIDUALS):
+    def __init__(self, m: int, n: int, labels: str | None = None):
         if not 2 <= m <= MAX_ALTERNATIVES:
             raise ValueError(f"supported sizes are 2..{MAX_ALTERNATIVES} alternatives, got {m}")
-        if not 2 <= n <= max_individuals:
-            raise ValueError(
-                f"supported sizes are 2..{max_individuals} individuals, got {n} "
-                "(raise max_individuals to override)"
-            )
+        if not 2 <= n <= MAX_INDIVIDUALS:
+            raise ValueError(f"supported sizes are 2..{MAX_INDIVIDUALS} individuals, got {n}")
         self.universe = Universe(labels) if labels is not None else Universe.of_size(m)
         if self.universe.m != m:
             raise ValueError(f"labels {self.universe.labels!r} do not match m={m}")
@@ -484,14 +480,23 @@ class DomainIndex:
         thetas = np.asarray(theta, dtype=np.intp)
         for t in thetas.reshape(-1, thetas.shape[-1]).tolist():
             _check_permutation(t, self.m, "alternative")
-        # an ordering's index is its lexicographic rank: digit p of the
-        # factorial number system counts the later alternatives below rank p's
-        relabeled = thetas.astype(np.int8)[..., self.ordering_table]
-        index = np.zeros(relabeled.shape[:-1], dtype=np.int32)
-        for p in range(self.m - 1):
-            later = (relabeled[..., p + 1:] < relabeled[..., p:p + 1]).sum(axis=-1)
-            index += (later * math.factorial(self.m - 1 - p)).astype(np.int32)
-        return index
+        return self.sequence_index(lambda p: thetas[..., self.ordering_table[:, p]]).astype(np.int32)
+
+    @cached_property
+    def _sequence_lookup(self) -> np.ndarray:
+        """(m**(m-1),) uint16: each ordering's index, at its first m-1
+        alternatives read as a base-m number (4.2 MB at m = 8)."""
+        out = np.zeros(self.m ** (self.m - 1), dtype=np.uint16)
+        key = np.ravel_multi_index(tuple(self.ordering_table.T[:-1]), (self.m,) * (self.m - 1))
+        out[key] = np.arange(self.order_count)
+        return out
+
+    def sequence_index(self, at: Callable[[int], np.ndarray]) -> np.ndarray:
+        """uint16 ordering indices of rank sequences given rank by rank:
+        ``at(p)``, an array of any shape, holds each sequence's alternative at
+        rank p for p < m-1, and the alternative left is at the bottom."""
+        key = np.ravel_multi_index([at(p) for p in range(self.m - 1)], (self.m,) * (self.m - 1))
+        return self._sequence_lookup[key]
 
     # -- profile indexing ---------------------------------------------------
 
@@ -558,11 +563,15 @@ class DomainIndex:
         A relabelling fixes an orbit minimum up to a reordering of its
         individuals exactly when it is the theta_i of a pivot i whose image
         is the minimum itself."""
-        act = self.memo(ordering_relabels)
         digits = np.stack([self.digit(i, ks) for i in range(self.n)])
-        # [i, k, j]: individual j's ordering at profile k, relabelled by theta_i
-        relabeled = np.sort(act[digits[:, :, None], digits.T], axis=-1)
-        return (relabeled * np.array(self.places, dtype=np.int64)).sum(axis=-1), digits
+        ranks, starts = self.rank_table.ravel(), digits * self.m  # theta_i's row, flat
+        # [j][i, k]: individual j's ordering at profile k, relabelled by theta_i
+        rows = list(self.sequence_index(
+            lambda p: ranks[starts + self.ordering_table[digits, p][:, None]]).astype(np.int64))
+        for r in range(self.n):  # sort over j: odd-even transposition
+            for j in range(r % 2, self.n - 1, 2):
+                rows[j], rows[j + 1] = np.minimum(rows[j], rows[j + 1]), np.maximum(rows[j], rows[j + 1])
+        return sum(row * place for row, place in zip(rows, self.places)), digits
 
     def canonical(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The smallest profile index in each S_m x S_n orbit of ``ks``, with
@@ -576,6 +585,27 @@ class DomainIndex:
         images, orders = self.pivot_images(ks)
         best, at = images.argmin(axis=0), np.arange(images.shape[1])
         return images[best, at], orders[best, at]
+
+    @cached_property
+    def orbit_minima(self) -> np.ndarray:
+        """Ascending indices of the smallest profile of each S_m x S_n orbit.
+
+        A minimum has individual 1 at ordering 0 (a relabelling takes any
+        ordering there) and the other individuals' orderings non-decreasing
+        (reordering them sorts the digits); of these C(m!+n-2, n-1)
+        candidates, pivot 0's image is the candidate itself, so it is a
+        minimum when no other pivot's image is smaller.  The candidates are
+        filtered in runs of a few thousand."""
+        ks = np.zeros(1, dtype=np.int64)
+        last = np.zeros(1, dtype=np.int64)
+        for i in range(1, self.n):
+            # each row extends by every ordering from its last one up, in order
+            reps = self.order_count - last
+            starts = np.repeat(np.cumsum(reps) - reps, reps)
+            last = np.repeat(last, reps) + np.arange(len(starts)) - starts
+            ks = np.repeat(ks, reps) + last * self.places[i]
+        return np.concatenate([run[~(self.pivot_images(run)[0][1:] < run).any(axis=0)]
+                               for run in np.split(ks, range(4096, len(ks), 4096))])
 
     # -- whole-domain tables -------------------------------------------------
 
@@ -685,30 +715,3 @@ def top_choices(d: DomainIndex) -> Fold:
     """The alternatives some individual ranks first."""
     bits = np.uint8(1) << d.top_table.view(np.uint8)
     return lambda fold: fold(np.bitwise_or, bits)
-
-
-#: Largest m whose (m!, m!) table of relabelled orderings is built; at m = 8
-#: it would take 3.3 GB.
-MAX_CANONICAL_ALTERNATIVES = 7
-
-
-def ordering_relabels(d: DomainIndex) -> np.ndarray:
-    """(m!, m!) ``act[o, p]``: ordering p relabelled by ``rank_table[o]``, the
-    relabelling that takes ordering o to ordering 0, in the smallest integer
-    dtype that holds m!.  Kept with the domain by :meth:`DomainIndex.memo`.
-
-    Raises ValueError past :data:`MAX_CANONICAL_ALTERNATIVES`, before
-    building anything."""
-    count = d.order_count
-    dtype = np.min_scalar_type(count - 1)
-    if d.m > MAX_CANONICAL_ALTERNATIVES:
-        raise ValueError(f"orbit minima on the ({d.m},{d.n}) domain need a ({count}, {count}) "
-                         f"table of relabelled orderings, {count * count * dtype.itemsize} "
-                         f"bytes; they are supported up to {MAX_CANONICAL_ALTERNATIVES} "
-                         "alternatives")
-    act = np.empty((count, count), dtype=dtype)
-    step = max(1, _CHUNK // count)  # relabel_action holds (step, m!, m) cells
-    for lo in range(0, count, step):
-        act[lo:lo + step] = d.relabel_action(d.rank_table[lo:lo + step])
-    return act
-

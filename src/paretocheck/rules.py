@@ -330,7 +330,7 @@ class Correspondence:
             if self._base in ("pareto", "tops"):
                 table = getattr(d, f"{self._base}_table")  # the domain's own, read-only
             else:
-                table = d.tabulate(self._fold(d))
+                table = d.tabulate(d.memo(self._fold))
             if self._overrides:
                 table = table.copy()
                 ks, masks = self.override_index(d)
@@ -347,7 +347,7 @@ class Correspondence:
         self._check_domain(d)
         if self._table is not None:
             return self._table[ks]
-        out = d.evaluate(self._fold(d), ks)
+        out = d.evaluate(d.memo(self._fold), ks)
         if self._overrides:
             keys, masks = self.override_index(d)
             at = np.minimum(np.searchsorted(keys, ks), len(keys) - 1)
@@ -609,6 +609,16 @@ EXAMPLES: dict[str, RuleCatalogEntry] = {e.name: e for e in (
 # Table-correspondence files
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members, refusing a key given twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"the key {key!r} is repeated in one object of the table file")
+        data[key] = value
+    return data
+
+
 def load_table(source: str | dict) -> Correspondence:
     """Build a table correspondence from its JSON form.
 
@@ -618,7 +628,7 @@ def load_table(source: str | dict) -> Correspondence:
     the first override profile's order of appearance, or default to 'a',
     'b', ... .
     """
-    data = json.loads(source) if isinstance(source, str) else source
+    data = json.loads(source, object_pairs_hook=_unique_keys) if isinstance(source, str) else source
     if not isinstance(data, dict):
         raise ValueError(f"a table file holds a JSON object, got {type(data).__name__}")
     try:

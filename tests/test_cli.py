@@ -105,6 +105,8 @@ def test_check_unknown_rule_and_axiom(capsys):
     ('{"m": 3, "n": true, "default": "pareto"}', "'n'"),
     ('{"m": 3, "n": 2, "default": "pareto", "overrides": {"abc|bca": "a", "abc | bca": "b"}}',
      "'abc|bca' and 'abc | bca'"),
+    ('{"m": 3, "n": 2, "default": "pareto", "overrides": {"abc|bca": "a", "abc|bca": "b"}}',
+     "'abc|bca' is repeated"),
     ('{"m": 3, "n": 2, "default": 5}', "'default'"),
     ('{"m": 3, "n": 2, "default": "pareto", "labels": 5}', "'labels'"),
 ])

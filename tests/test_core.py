@@ -23,7 +23,6 @@ from paretocheck import (
     replay_witness,
     transposition_sites,
 )
-from paretocheck.axioms import _orbit_minimum_candidates
 from paretocheck.rules import symmetry_orbit
 
 
@@ -104,10 +103,8 @@ def test_round_trip_sampled(m, n, data):
 def test_domain_size_caps():
     with pytest.raises(ValueError):
         DomainIndex(9, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"2\.\.6 individuals, got 7"):
         DomainIndex(3, 7)
-    d = DomainIndex(3, 7, max_individuals=7)  # cap is overridable
-    assert d.total == 6 ** 7
 
 
 def test_whole_domain_table_rejects_index_overflow():
@@ -118,7 +115,7 @@ def test_whole_domain_table_rejects_index_overflow():
 
 @pytest.mark.parametrize("m,n", [(7, 6), (8, 6)])
 def test_domain_rejects_index_overflow_under_default_cap(m, n):
-    # within max_individuals, but the profile indices overflow int64
+    # within the individual cap, but the profile indices overflow int64
     total = math.factorial(m) ** n
     with pytest.raises(ValueError, match=rf"\({m},{n}\) domain has {total} profiles.*int64"):
         DomainIndex(m, n)
@@ -383,7 +380,7 @@ def test_canonical_matches_brute_force_orbits(sizes):
         relabeled = apply_alternative_permutation(u, d.rank_table[thetas[k]].tolist())
         assert d.index_orderings(sorted(relabeled.orderings)) == minima[k]
     fixed = np.flatnonzero(minima == np.arange(d.total))
-    assert set(fixed.tolist()) <= set(_orbit_minimum_candidates(d).tolist())
+    assert fixed.tolist() == d.orbit_minima.tolist()
     # at an orbit minimum, the pivots whose image is the minimum give exactly
     # the relabellings that fix it up to a reordering of the individuals
     for k in fixed.tolist():
@@ -394,12 +391,28 @@ def test_canonical_matches_brute_force_orbits(sizes):
         assert stabiliser == pivots
 
 
-def test_canonical_rejects_eight_alternatives_before_building():
-    d = DomainIndex(8, 2)
-    with pytest.raises(ValueError, match=r"\(8,2\) domain need a \(40320, 40320\) table.*"
-                                         r"3251404800 bytes"):
-        d.canonical(np.zeros(1, dtype=np.int64))
-    assert not {"pareto_table", "rank_table", "ordering_table"} & set(vars(d))
+@pytest.mark.parametrize("sizes", [(7, 2), (8, 2)], ids=lambda s: "%dx%d" % s)
+def test_canonical_matches_object_level_pivots(sizes):
+    # past the brute-force sizes: each pivot's relabelling, applied to the
+    # Profile and its orderings sorted, against the index arithmetic
+    d = DomainIndex(*sizes)
+    rng = np.random.default_rng(sum(sizes))
+    ks = rng.integers(0, d.total, 200)
+    images, orders = d.pivot_images(ks)
+    minima, thetas = d.canonical(ks)
+    for at, k in enumerate(ks.tolist()):
+        u = d.profile(k)
+        want = []
+        for pivot in range(d.n):
+            theta = d.rank_table[d.ordering_index(u.orderings[pivot])].tolist()
+            relabeled = apply_alternative_permutation(u, theta).orderings
+            assert relabeled[pivot] == d.orderings[0]
+            want.append(d.index_orderings(sorted(relabeled)))
+            assert orders[pivot, at] == d.ordering_index(u.orderings[pivot])
+        assert images[:, at].tolist() == want
+        assert minima[at] == min(want)
+        relabeled = apply_alternative_permutation(u, d.rank_table[thetas[at]].tolist())
+        assert d.index_orderings(sorted(relabeled.orderings)) == minima[at]
 
 
 @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (4, 2)])

@@ -11,7 +11,6 @@ from paretocheck import (
     parse_profile,
 )
 from paretocheck import core
-from paretocheck.axioms import _orbit_minimum_candidates
 from paretocheck.rules import (
     EXAMPLES,
     RULE_CATALOG,
@@ -159,7 +158,7 @@ def test_values_at_equals_the_value_table(random_table):
     for G, d in cases:
         fresh = Correspondence(G.universe, G.n, G.default, G.overrides, G.name)
         keys = fresh.override_index(d)[0]
-        ks = np.concatenate([rng.integers(0, d.total, 500), _orbit_minimum_candidates(d), keys])
+        ks = np.concatenate([rng.integers(0, d.total, 500), d.orbit_minima, keys])
         got = fresh.values_at(d, ks)
         assert fresh._table is None, G.name
         assert np.array_equal(got, fresh.value_table(d)[ks]), G.name
