@@ -15,7 +15,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import (
-    MAX_ALTERNATIVES,
     DomainIndex,
     Profile,
     TranspositionSite,
@@ -23,6 +22,8 @@ from .core import (
     lower_one,
     parse_profile,
     raise_one,
+    top_choices,
+    undominated,
 )
 from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
 from .axioms import (  # verify_theorem: benchmarks/workloads.py calls it from here
@@ -161,8 +162,7 @@ class Deviation:
 
 #: Cells per search batch: a batch takes ``_SEARCH_CELLS // 2**m`` base
 #: profiles, so its (profile x mask) candidate grid stays within this many
-#: cells, and single mode's budget scan reads slices of as many profiles.
-#: This bounds the search's working memory.
+#: cells.  This bounds the search's working memory.
 _SEARCH_CELLS = 1 << 16
 
 
@@ -185,19 +185,21 @@ def _single_cut(d: DomainIndex, budget: int) -> tuple[int, int] | None:
     """The last of the first ``budget`` single-mode candidates, as (profile,
     mask), or None when the domain has no more candidates than that.  They
     are ordered by profile and then by mask, and a profile u has
-    2**|pareto(u) - tops(u)| - 1 of them.  The Pareto and tops tables are
-    read in slices, up to the one that holds the cut."""
-    pv, tv = d.pareto_table, d.tops_table
+    2**|pareto(u) - tops(u)| - 1 of them.  The Pareto and tops sets are
+    folded block by block, up to the block that holds the cut."""
+    pareto, tops = d.memo(undominated), d.memo(top_choices)
     count = np.array([(1 << bin(extra).count("1")) - 1 for extra in range(256)], dtype=np.uint8)
     left = budget
-    for lo in range(0, d.total, _SEARCH_CELLS):
-        sizes = count[pv[lo:lo + _SEARCH_CELLS] & ~tv[lo:lo + _SEARCH_CELLS]]
+    for lo, index in d.blocks():
+        fold = d.block_fold(index)
+        pv, tv = pareto(fold).ravel(), tops(fold).ravel()
+        sizes = count[pv & ~tv]
         reach = np.cumsum(sizes, dtype=np.int64)
         if reach[-1] >= left:
             at = int(np.searchsorted(reach, left))  # the first profile reaching the cut
             rank = left - int(reach[at]) + int(sizes[at]) - 1
             masks = np.arange(1 << d.m, dtype=np.uint8)
-            return lo + at, int(np.flatnonzero(_is_candidate(tv[lo + at], pv[lo + at], masks))[rank])
+            return lo + at, int(np.flatnonzero(_is_candidate(tv[at], pv[at], masks))[rank])
         left -= int(reach[-1])
     return None
 
@@ -240,18 +242,15 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     axiom_set = frozenset(axioms)
-    if d.m == MAX_ALTERNATIVES:
-        raise ValueError(f"the search reads the ({d.m},{d.n}) domain's whole Pareto and tops tables, "
-                         f"{d.total} bytes each; it supports up to {MAX_ALTERNATIVES - 1} alternatives")
     unrelabel = d.memo(_unrelabel_masks)
-    pv, tv = d.pareto_table, d.tops_table
+    pareto, tops = d.memo(undominated), d.memo(top_choices)
     # Both modes check one base per S_m x S_n orbit, its smallest profile.  A
     # single-mode orbit meets the first ``budget`` candidates only if its base does
     cut = _single_cut(d, budget) if mode == "single" else None
     bases = d.orbit_minima
     if cut is not None:
         bases = bases[:np.searchsorted(bases, cut[0], side="right")]
-    bases = bases[pv[bases] != tv[bases]]
+    bases = bases[d.evaluate(pareto, bases) != d.evaluate(tops, bases)]
 
     masks = np.arange(1 << d.m, dtype=np.uint8)
     step = max(1, _SEARCH_CELLS >> d.m)
@@ -259,13 +258,13 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     left = budget
     for start in range(0, len(bases), step):
         ks = bases[start:start + step]
-        tops, pareto = tv[ks, None], pv[ks, None]
-        rows, bits = np.nonzero(_is_candidate(tops, pareto, masks))
+        pv, tv = d.evaluate(pareto, ks)[:, None], d.evaluate(tops, ks)[:, None]
+        rows, bits = np.nonzero(_is_candidate(tv, pv, masks))
         cols, sets = ks[rows], masks[bits]
         if mode == "single":
             def value_at(rows: np.ndarray | slice, v: np.ndarray) -> np.ndarray:
                 """S at the base alone, the Pareto set elsewhere."""
-                return np.where(v == cols[rows], sets[rows], pv[v])
+                return np.where(v == cols[rows], sets[rows], d.evaluate(pareto, v))
         else:
             cols, sets = cols[:left], sets[:left]
             left -= len(cols)
@@ -279,7 +278,8 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
                 """S relabelled at the members of the base's orbit, the
                 Pareto set elsewhere."""
                 minima, theta = d.canonical(v)
-                return np.where(minima == cols[rows], unrelabel[theta, sets[rows]], pv[v])
+                return np.where(minima == cols[rows], unrelabel[theta, sets[rows]],
+                                d.evaluate(pareto, v))
 
         # The base rule and the override g.base -> g.S are equivariant under
         # the group, and so is every move family, so each violated constraint

@@ -18,8 +18,8 @@ from .axioms import (AXIOMS, CONSISTENT_EQUAL, THEOREM_AXIOMS, THEOREM_M, axiom_
                      check_axioms, verify_theorem)
 
 import argparse
+import itertools
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -124,15 +124,17 @@ def _load_rule(args, m: int | None, n: int | None) -> Correspondence:
     return rule
 
 
-def _guard_domain(m: int, n: int, cap: int) -> None:
-    total = math.factorial(m) ** n
-    if total > cap:
-        raise ConfigError(f"domain has {total} profiles, above the --max-domain cap {cap}")
+def _guard_domain(d: DomainIndex, cap: int) -> None:
+    if d.total > cap:
+        raise ConfigError(f"domain has {d.total} profiles, above the --max-domain cap {cap}")
 
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)  # written in runs, never whole
+        while run := "".join(itertools.islice(chunks, 1 << 14)):
+            sys.stdout.write(run)
+        sys.stdout.write("\n")
     else:
         print(text)
 
@@ -170,8 +172,8 @@ def _cmd_eval(args) -> int:
 def _cmd_check(args) -> int:
     rule = _load_rule(args, args.m, args.n)
     axioms = _parse_axioms(args.axioms)
-    _guard_domain(rule.m, rule.n, args.max_domain)
     d = DomainIndex(rule.m, rule.n, rule.universe.labels)
+    _guard_domain(d, args.max_domain)
     reports = check_axioms(rule, d, axioms, workers=args.workers)
     payload = {"rule": rule.name, "m": rule.m, "n": rule.n,
                "reports": [r.to_json() for r in reports]}
@@ -184,8 +186,8 @@ def _cmd_matrix(args) -> int:
     if not names:
         raise ConfigError("no rules given")
     axioms = _parse_axioms(args.axioms)
-    _guard_domain(args.m, args.n, args.max_domain)
     d = DomainIndex(args.m, args.n)
+    _guard_domain(d, args.max_domain)
     rules = [make_rule(name, args.m, args.n) for name in names]
     result = axiom_matrix(rules, axioms, d, workers=args.workers)
     width = max(len(r) for r in result.rules) + 2
@@ -211,7 +213,7 @@ def _cmd_example(args) -> int:
     # example k's entries are reproduced at their claim sizes, or at --n when n is free
     for entry in (e for name, e in EXAMPLES.items() if name.split("-")[0] == f"example:{args.k}"):
         m, n = entry.claim_size
-        _guard_domain(m, n if args.n is None or "n" not in entry.free else args.n,
+        _guard_domain(DomainIndex(m, n if args.n is None or "n" not in entry.free else args.n),
                       args.max_domain)
     report = reproduce_example(args.k, n=args.n, workers=args.workers)
     text = "\n".join(
@@ -225,8 +227,8 @@ def _cmd_example(args) -> int:
 def _cmd_theorem(args) -> int:
     m = args.m if args.m is not None else THEOREM_M[args.k][0]
     rule = _load_rule(args, m, args.n)
-    _guard_domain(rule.m, rule.n, args.max_domain)
     d = DomainIndex(rule.m, rule.n, rule.universe.labels)
+    _guard_domain(d, args.max_domain)
     result = verify_theorem(args.k, rule, d, workers=args.workers)
     lines = [f"theorem {args.k} ({', '.join(THEOREM_AXIOMS[args.k])}) for {rule.name} "
              f"at m={rule.m}, n={rule.n}: {result.verdict}"]
@@ -241,8 +243,8 @@ def _cmd_search(args) -> int:
     from .analysis import perturbation_search
 
     axioms = _parse_axioms(args.axioms)
-    _guard_domain(args.m, args.n, args.max_domain)
     d = DomainIndex(args.m, args.n)
+    _guard_domain(d, args.max_domain)
     deviations = perturbation_search(d, axioms, mode=args.mode, budget=args.budget)
     payload = {
         "theorem": None,

@@ -434,12 +434,10 @@ class DomainIndex:
     @cached_property
     def swap_table(self) -> np.ndarray:
         """(m!, m-1) int32: ordering index after swapping ranks p and p+1."""
-        index = self._ordering_index
-        out = np.empty((self.order_count, self.m - 1), dtype=np.int32)
-        for o, r in enumerate(self.orderings):
-            for p in range(self.m - 1):
-                out[o, p] = index[_swap_adjacent(r, p)]
-        return out
+        identity = tuple(range(self.m))
+        # row p: the rank that each rank of the swapped ordering is read from
+        ranks = np.array([_swap_adjacent(identity, p) for p in range(self.m - 1)])
+        return self.sequence_index(lambda r: self.ordering_table[:, ranks[:, r]]).astype(np.int32)
 
     @cached_property
     def top_table(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -272,6 +273,33 @@ def test_search_budget_validation(capsys):
     code, _, err = run(capsys, "search", "--m", "3", "--n", "3",
                        "--axioms", "pareto", "--budget", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("m", ["-1", "9"])
+def test_search_size_out_of_range(capsys, m):
+    # the domain checks its sizes before its profile count is computed
+    code, out, err = run(capsys, "search", "--m", m, "--n", "2", "--axioms", "pareto")
+    assert code == 2 and out == ""
+    assert "2..8 alternatives" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("search", "--m", "4", "--n", "4", "--axioms", "pareto,tops-in,balancedness"),
+                 id="search"),
+    pytest.param(("matrix",), id="matrix"),
+])
+def test_json_output_matches_json_dumps(argv, monkeypatch, capsys):
+    # the payload is written in runs of encoder chunks; the search's spans many runs
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, text: payloads.append(payload))
+    main([*argv, "--format", "json"])
+    monkeypatch.undo()
+    (payload,) = payloads
+    if argv[0] == "search":
+        assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload)) > 1 << 14
+    capsys.readouterr()
+    cli._emit(argparse.Namespace(format="json"), payload, "")
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 # -- determinism across worker counts ---------------------------------------------

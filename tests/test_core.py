@@ -23,6 +23,7 @@ from paretocheck import (
     replay_witness,
     transposition_sites,
 )
+from paretocheck.core import _swap_adjacent
 from paretocheck.rules import symmetry_orbit
 
 
@@ -354,6 +355,13 @@ def test_relabel_action_matches_object_level_relabeling(m):
     assert d.relabel_action(thetas[-1]).tolist() == want[-1]
     with pytest.raises(ValueError, match="permutation"):
         d.relabel_action([thetas[0], (0,) * m])
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_swap_table_matches_adjacent_swaps(m):
+    d = DomainIndex(m, 2)
+    want = [[d.ordering_index(_swap_adjacent(r, p)) for p in range(m - 1)] for r in d.orderings]
+    assert d.swap_table.dtype == np.int32 and d.swap_table.tolist() == want
 
 
 @pytest.mark.parametrize("sizes", [(3, 3), (4, 2), (3, 4), (2, 5)], ids=lambda s: "%dx%d" % s)
