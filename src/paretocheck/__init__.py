@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "ChoiceSet", "DomainIndex", "Ordering", "ParseError", "Profile",
+        "DomainIndex", "Ordering", "ParseError", "Profile",
         "TranspositionSite", "Universe", "apply_alternative_permutation",
         "apply_individual_permutation", "apply_transposition", "enumerate_orderings",
         "lower_one", "pareto_dominates", "parse_profile", "raise_one", "transposition_sites",

@@ -72,15 +72,13 @@ class HeightResult:
 def height(G: Correspondence, d: DomainIndex, *, witness_cap: int = 16) -> HeightResult:
     """Best (smallest) rank reached by an undominated-but-unchosen
     alternative, with the profiles attaining it."""
-    grid = (d.order_count,) * d.n
-    pareto, values = d.pareto_table.reshape(grid), G.value_table(d).reshape(grid)
-    full = np.uint8(d.universe.full_mask)
+    pareto, full = d.memo(undominated), np.uint8(d.universe.full_mask)
 
     def blocks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Per block: its first profile, each profile's unchosen undominated
         alternatives, and the best rank (1-based) holding one, m+1 if none."""
         for lo, index in d.blocks():
-            bad = pareto[index] & (full ^ values[index])
+            bad = pareto(d.block_fold(index)) & (full ^ G.block_values(d, lo, index))
             reach = np.full(bad.shape, d.m + 1, dtype=np.int16)
             for p in range(d.m):
                 at = d.ordering_table[:, p].view(np.uint8)
@@ -432,7 +430,7 @@ class ExampleReport:
 
 
 def _check_deviation(G: Correspondence, d: DomainIndex, mode: str) -> ExampleCheck:
-    pv = d.pareto_table
+    pv = Correspondence(d.universe, d.n).value_table(d)
     diff = np.flatnonzero(G.value_table(d) != pv)
     keys, masks = G.override_index(d)
     if mode == "exact":
@@ -444,7 +442,7 @@ def _check_deviation(G: Correspondence, d: DomainIndex, mode: str) -> ExampleChe
         ok = np.array_equal(diff, expect)
         detail = f"{len(diff)} profiles differ; expected {len(expect)}"
     elif mode == "tops-diff":
-        expect = keys[d.tops_table[keys] != pv[keys]]
+        expect = keys[d.evaluate(d.memo(top_choices), keys) != pv[keys]]
         ok = np.array_equal(diff, expect)
         detail = f"{len(diff)} profiles differ within the {len(keys)}-profile subdomain"
     else:
@@ -458,7 +456,7 @@ def _value_check(G: Correspondence, text: str, want: str, move: Callable | None 
     """Whether ``G`` chooses ``want`` at the profile ``text``, or at its image
     under ``move`` when given."""
     u = parse_profile(text, G.universe)
-    got = G.choose(move(u) if move else u).text()
+    got = G.choose(move(u) if move else u)
     return ExampleCheck(name or f"{G.name} at {text} chooses {{{want}}}", got == want,
                         f"observed {{{got}}}")
 

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default="pareto")
     p.add_argument("--table", default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("search", help="search for rules beating an axiom set")
@@ -164,8 +164,8 @@ def _cmd_eval(args) -> int:
         profile = parse_profile(args.profile)
         rule = make_rule(args.rule, profile.m, profile.n, labels=profile.universe.labels)
     chosen = rule.choose(profile)
-    _emit(args, {"rule": rule.name, "profile": str(profile), "chosen": list(chosen.labels)},
-          " ".join(chosen.labels))
+    _emit(args, {"rule": rule.name, "profile": str(profile), "chosen": list(chosen)},
+          " ".join(chosen))
     return 0
 
 
@@ -225,8 +225,11 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    m = args.m if args.m is not None else THEOREM_M[args.k][0]
-    rule = _load_rule(args, m, args.n)
+    m, n = args.m, args.n
+    if not args.table:  # a table file gives its own sizes
+        m = m if m is not None else THEOREM_M[args.k][0]
+        n = n if n is not None else 2
+    rule = _load_rule(args, m, n)
     d = DomainIndex(rule.m, rule.n, rule.universe.labels)
     _guard_domain(d, args.max_domain)
     result = verify_theorem(args.k, rule, d, workers=args.workers)

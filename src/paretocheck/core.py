@@ -3,8 +3,8 @@ profiles, profile moves, and dense indexing of the full profile domain.
 
 Alternatives are integers ``0..m-1`` with single-character display labels.
 An ordering is a tuple of alternatives from top (rank 1) to bottom (rank m);
-a profile is one ordering per individual.  Choice sets are m-bit masks over
-alternatives, wrapped in :class:`ChoiceSet` for display.
+a profile is one ordering per individual.  A choice set is an m-bit mask
+over alternatives; :meth:`Universe.mask_text` spells it out as labels.
 
 The full domain over m alternatives and n individuals has ``(m!)**n``
 profiles.  :class:`DomainIndex` fixes the canonical enumeration: orderings
@@ -93,41 +93,6 @@ class Universe:
         for c in text:
             mask |= 1 << self.index(c)
         return mask
-
-
-@dataclass(frozen=True)
-class ChoiceSet:
-    """A non-empty subset of a universe's alternatives, stored as a bit mask."""
-
-    universe: Universe
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.mask <= self.universe.full_mask:
-            raise ValueError(f"choice sets are non-empty subsets of the universe, got mask {self.mask}")
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self.universe.mask_members(self.mask)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.universe.mask_labels(self.mask)
-
-    def text(self) -> str:
-        return self.universe.mask_text(self.mask)
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 @dataclass(frozen=True)
@@ -684,14 +649,14 @@ class DomainIndex:
     def pareto_table(self) -> np.ndarray:
         """(total,) uint8: mask of undominated alternatives at every profile."""
         table = self.tabulate(undominated(self))
-        table.flags.writeable = False  # rule value tables share it
+        table.flags.writeable = False
         return table
 
     @cached_property
     def tops_table(self) -> np.ndarray:
         """(total,) uint8: mask of top-ranked alternatives at every profile."""
         table = self.tabulate(top_choices(self))
-        table.flags.writeable = False  # rule value tables share it
+        table.flags.writeable = False
         return table
 
 

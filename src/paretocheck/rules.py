@@ -24,7 +24,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    ChoiceSet,
     DomainIndex,
     Fold,
     Ordering,
@@ -127,9 +126,10 @@ def _drop_one_mask(u: Profile, t: int) -> int:
     return base & ~(1 << t) if base & (1 << t) else base
 
 
-def pareto_set_by_elimination(u: Profile) -> ChoiceSet:
+def pareto_set_by_elimination(u: Profile) -> int:
     """Independent route to the undominated set: repeatedly discard any
-    alternative dominated by a still-standing alternative until none is."""
+    alternative dominated by a still-standing alternative until none is;
+    the mask of those left."""
     alive = set(range(u.m))
     changed = True
     while changed:
@@ -143,7 +143,7 @@ def pareto_set_by_elimination(u: Profile) -> ChoiceSet:
     mask = 0
     for x in alive:
         mask |= 1 << x
-    return ChoiceSet(u.universe, mask)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ class Correspondence:
         self.default = default
         self.overrides: dict[tuple[Ordering, ...], int] = dict(overrides or {})
         self.name = name or (default if not self.overrides else f"table({default})")
-        self._base, self._choose_base, self._fold, below = _resolve_base(default, universe, n)
+        self._choose_base, self._fold, below = _resolve_base(default, universe, n)
         full = universe.full_mask
         for key, mask in self.overrides.items():
             if len(key) != n:
@@ -313,8 +313,9 @@ class Correspondence:
             return hit
         return self._choose_base(u)
 
-    def choose(self, u: Profile) -> ChoiceSet:
-        return ChoiceSet(self.universe, self.choose_mask(u))
+    def choose(self, u: Profile) -> str:
+        """The labels chosen at ``u``, e.g. ``'xz'``."""
+        return self.universe.mask_text(self.choose_mask(u))
 
     def _check_domain(self, d: DomainIndex) -> None:
         if d.universe != self.universe or d.n != self.n:
@@ -327,12 +328,8 @@ class Correspondence:
         """(total,) uint8 mask per profile index; cached."""
         self._check_domain(d)
         if self._table is None:
-            if self._base in ("pareto", "tops"):
-                table = getattr(d, f"{self._base}_table")  # the domain's own, read-only
-            else:
-                table = d.tabulate(d.memo(self._fold))
+            table = d.tabulate(d.memo(self._fold))
             if self._overrides:
-                table = table.copy()
                 ks, masks = self.override_index(d)
                 table[ks] = masks
             table.flags.writeable = False
@@ -403,9 +400,9 @@ class Correspondence:
 
 
 def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
-        str, Callable[[Profile], int], Callable[[DomainIndex], Fold], dict]:
-    """A default rule: the rule it rests on, its mask at one profile, its fold
-    on a domain, and its overrides: an example's own, and none otherwise."""
+        Callable[[Profile], int], Callable[[DomainIndex], Fold], dict]:
+    """A default rule: its mask at one profile, its fold on a domain, and its
+    overrides: an example's own, and none otherwise."""
     simple: dict[str, tuple[Callable[[Profile], int], Callable[[DomainIndex], Fold]]] = {
         "pareto": (pareto_mask, undominated),
         "tops": (tops_mask, top_choices),
@@ -415,23 +412,23 @@ def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
         "all": (lambda u: u.universe.full_mask, _fold_all),
     }
     if name in simple:
-        return (name, *simple[name], {})
+        return (*simple[name], {})
     match = _DICTATOR_RE.match(name)
     if match:
         i = int(match.group(1)) - 1
         if not 0 <= i < n:
             raise ValueError(f"rule {name!r} needs an individual in 1..{n}")
-        return name, (lambda u: 1 << u.orderings[i][0]), (lambda d: _fold_dictator(d, i)), {}
+        return (lambda u: 1 << u.orderings[i][0]), (lambda d: _fold_dictator(d, i)), {}
     match = _DROP_RE.match(name)
     if match:
         t = universe.index(match.group(1))
-        return name, (lambda u: _drop_one_mask(u, t)), (lambda d: _fold_drop_one(d, t)), {}
+        return (lambda u: _drop_one_mask(u, t)), (lambda d: _fold_drop_one(d, t)), {}
     if name.startswith("example:"):
         inner = make_rule(name, universe.m, n)
         if inner.universe != universe:
             raise ValueError(f"rule {name!r} uses universe {inner.universe.labels!r}, "
                              f"not {universe.labels!r}")
-        return inner._base, inner._choose_base, inner._fold, inner._overrides
+        return inner._choose_base, inner._fold, inner._overrides
     raise ValueError(f"unknown rule {name!r}")
 
 
@@ -443,37 +440,38 @@ def make_rule(name: str, m: int | None = None, n: int | None = None,
     keys), carry their own default sizes, so ``m`` and ``n`` may be omitted
     for them; plain catalog rules require both.
     """
-    if not name.startswith("example:"):
-        if m is None or n is None:
-            raise ValueError(f"rule {name!r} needs explicit sizes m and n")
-        universe = Universe(labels) if labels else Universe.of_size(m)
-        return Correspondence(universe, n, default=name, name=name)
-    entry = EXAMPLES.get(name)
-    k, dash, variant = name.removeprefix("example:").partition("-")
+    entry = None
+    if name.startswith("example:"):
+        entry = EXAMPLES.get(name)
+        k, dash, variant = name.removeprefix("example:").partition("-")
+        if entry is None:
+            if not k.isdecimal():
+                raise ValueError(f"unknown rule {name!r}")
+            raise ValueError(f"example {k} has no {variant!r} variant" if dash
+                             else f"unknown example {k} (supported: 1..11)")
+        sizes = []
+        for axis, claim, given, least in zip("mn", entry.claim_size, (m, n), entry.least):
+            size = given if given is not None else (3 if axis in entry.free else claim)
+            if axis not in entry.free and size != claim:
+                raise ValueError(f"example {k} is defined for {axis}={claim}, got {axis}={size}")
+            if size < least:
+                raise ValueError(f"example {k} needs {axis} >= {least}, got {axis}={size}")
+            sizes.append(size)
+        m, n = sizes
+        labels = labels or entry.labels
+    elif m is None or n is None:
+        raise ValueError(f"rule {name!r} needs explicit sizes m and n")
+    universe = Universe(labels) if labels else Universe.of_size(m)
+    if universe.m != m:
+        raise ValueError(f"labels {universe.labels!r} do not match m={m}")
     if entry is None:
-        if not k.isdecimal():
-            raise ValueError(f"unknown rule {name!r}")
-        raise ValueError(f"example {k} has no {variant!r} variant" if dash
-                         else f"unknown example {k} (supported: 1..11)")
-    sizes = []
-    for axis, claim, given, least in zip("mn", entry.claim_size, (m, n), entry.least):
-        size = given if given is not None else (3 if axis in entry.free else claim)
-        if axis not in entry.free and size != claim:
-            raise ValueError(f"example {k} is defined for {axis}={claim}, got {axis}={size}")
-        if size < least:
-            raise ValueError(f"example {k} needs {axis} >= {least}, got {axis}={size}")
-        sizes.append(size)
-    em, en = sizes
-    labels = labels or entry.labels
-    universe = Universe(labels) if labels else Universe.of_size(em)
-    if universe.m != em:
-        raise ValueError(f"labels {universe.labels!r} do not match m={em}")
+        return Correspondence(universe, n, default=name, name=name)
     try:
-        overrides = entry.overrides(universe, en) if entry.overrides else None
+        overrides = entry.overrides(universe, n) if entry.overrides else None
     except ParseError:  # the overrides name the entry's own labels
         raise ValueError(f"example {k} is stated over the labels {entry.labels!r}, "
                          f"got {universe.labels!r}") from None
-    return Correspondence(universe, en, default=entry.default.format(drop=universe.labels[-1]),
+    return Correspondence(universe, n, default=entry.default.format(drop=universe.labels[-1]),
                           overrides=overrides, name=name)
 
 

@@ -508,10 +508,10 @@ def test_second_rank_escape_always_exists(sizes):
     d, pareto = DomainIndex(*sizes), make_rule("pareto", *sizes)
     for k in range(d.total):
         u = d.profile(k)
-        undominated = pareto.choose(u)
+        undominated = pareto.choose_mask(u)
         for i in range(u.n):
             w = u.orderings[i][1]
-            if w not in undominated:
+            if not undominated >> w & 1:
                 continue
             top = u.orderings[i][0]
             assert any(u.orderings[j].index(w) < u.orderings[j].index(top)
@@ -581,6 +581,25 @@ def test_descent_audit_measures_gained_outcome(d52):
 
 
 # -- example reproduction -------------------------------------------------------
+
+
+def test_height_examples_and_dense_sweeps_build_no_domain_table(monkeypatch):
+    # the Pareto and tops sets come from the rules' folds: height folds the
+    # undominated set block by block, an example's deviation is read off the
+    # pareto rule's value table, and a table over tops tabulates the tops fold
+    tables = {"pareto_table", "tops_table"}
+    d = DomainIndex(4, 3)
+    assert height(make_rule("tops", 4, 3), d).height == 2
+    assert not tables & set(vars(d))
+    made = []
+    monkeypatch.setattr(analysis, "DomainIndex", lambda *args: made.append(DomainIndex(*args))
+                        or made[-1])
+    assert reproduce_example(5).ok and made
+    assert not any(tables & set(vars(d)) for d in made)
+    d = DomainIndex(3, 3)
+    G = Correspondence(d.universe, 3, "tops", {d.profile(5).orderings: d.universe.full_mask})
+    assert not check_axiom("balancedness", G, d).passed
+    assert G._table is not None and not tables & set(vars(d))
 
 
 @pytest.mark.parametrize("k", list(range(1, 9)) + [10, 11])

@@ -238,6 +238,21 @@ def test_theorem_json_shape(capsys):
     assert data["deviations"] == []
 
 
+@pytest.mark.parametrize("sizes, profile", [((6, 2), "abcdef|abcdef"), ((5, 3), "abcde|abcde|abcde")])
+def test_theorem_table_keeps_its_own_sizes(sizes, profile, tmp_path, capsys):
+    # a table file gives m and n; the theorem's default sizes apply to --rule alone
+    m, n = sizes
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"m": m, "n": n, "default": "pareto", "overrides": {profile: ["a"]}}))
+    code, out, _ = run(capsys, "theorem", "4", "--table", str(path))
+    assert code == 0
+    assert f"for table at m={m}, n={n}: consistent-equal" in out
+    if sizes == (6, 2):
+        code, out, err = run(capsys, "theorem", "4", "--table", str(path), "--m", "5")
+        assert code == 2 and out == ""
+        assert "rule 'table' has m=6, got --m 5" in err
+
+
 # -- search ----------------------------------------------------------------------
 
 
@@ -345,7 +360,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 # verify_theorem stays importable from analysis as well
 _EXPORTS = {
     "core": (
-        "ChoiceSet", "DomainIndex", "Ordering", "ParseError", "Profile",
+        "DomainIndex", "Ordering", "ParseError", "Profile",
         "TranspositionSite", "Universe", "apply_alternative_permutation",
         "apply_individual_permutation", "apply_transposition", "enumerate_orderings",
         "lower_one", "pareto_dominates", "parse_profile", "raise_one", "transposition_sites",
