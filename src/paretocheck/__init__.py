@@ -5,9 +5,11 @@ The package namespace is lazy (PEP 562).  ``import paretocheck`` loads no
 submodule and not numpy; each name below is imported from its submodule on
 first access and then kept in the package namespace, so it is the same
 object as the submodule's.  ``paretocheck.DomainIndex`` loads ``core``,
-``paretocheck.make_rule`` loads ``core`` and ``rules``, a checker or the
-theorem harness loads ``axioms`` as well, and the search, the height and
-gap measurements and the examples load ``analysis``.
+``paretocheck.make_rule`` loads ``core`` and ``rules``, and the axiom and
+theorem lists load ``edges``, the edge layer, which needs only ``core``.
+The search loads ``search``, on ``core`` and ``edges`` alone.  A checker
+or the theorem harness loads ``axioms``, on ``rules`` and ``edges``, and
+the height and gap measurements and the examples load ``analysis``.
 """
 
 import os
@@ -28,14 +30,15 @@ _EXPORTS = {
         "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "load_table", "make_rule",
         "pareto_set_by_elimination",
     ),
+    "edges": ("AXIOMS", "THEOREM_AXIOMS"),
+    "search": ("Deviation", "perturbation_search"),
     "axioms": (
-        "AXIOMS", "AxiomReport", "THEOREM_AXIOMS", "TheoremResult", "Witness", "axiom_matrix",
-        "check_axiom", "check_axiom_reference", "check_axioms", "replay_witness",
-        "verify_theorem",
+        "AxiomReport", "TheoremResult", "Witness", "axiom_matrix", "check_axiom",
+        "check_axiom_reference", "check_axioms", "replay_witness", "verify_theorem",
     ),
     "analysis": (
-        "Deviation", "ExampleReport", "HeightResult", "gap", "height",
-        "perturbation_search", "reproduce_example", "stability_descent_audit",
+        "ExampleReport", "HeightResult", "gap", "height", "reproduce_example",
+        "stability_descent_audit",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

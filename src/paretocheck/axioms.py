@@ -6,20 +6,17 @@ minimal witness.  Canonical means the violation at the smallest profile
 index, breaking ties by smallest individual and then smallest alternative
 indices; the same witness is produced for any worker count.
 
-The sweep runs on one edge layer over a rule's choice sets.  Each move
-axiom is a move family plus an elementwise predicate on the choice sets at
-the two ends of a move.  There are four families: the one-individual
-adjacent swap (monotonicity, weak monotonicity and strong stability), the
-two-individual transposition (balancedness), the swap of two individuals
-(anonymity) and the swap of two labels (neutrality).  Each is described
-once, as moves on the digit grid of :meth:`DomainIndex.blocks`, and two
-evaluators read the descriptions.  The dense one gathers along the axes of
-one block of a rule's whole-domain value table at a time.  The sparse one
+The sweep runs on the edge layer of ``edges``: each move axiom is a move
+family plus an elementwise predicate on the choice sets at the two ends of
+a move, and pareto and tops-in are predicates at one profile.  Two
+evaluators read the move descriptions.  The dense one here,
+``_block_violations``, gathers along the axes of one block of a rule's
+whole-domain value table at a time.  The sparse one, ``edges._moves_at``,
 follows the moves out of given profiles, on the rule's fold evaluated at
-them and their moves' targets alone.  It serves the perturbation search,
-which runs the predicates both ways, and the sweeps of a rule whose default
-is anonymous and neutral: the smallest profile of each orbit of
-relabellings and reorderings, then the profiles its overrides touch.
+them and their moves' targets alone.  It serves the sweeps of a rule whose
+default is anonymous and neutral: the smallest profile of each orbit of
+relabellings and reorderings, then the profiles its overrides touch.  The
+perturbation search (``search``) runs the same predicates both ways.
 
 An independent object-level oracle keeps the edge layer honest about what a
 violation is.  It is one table, ``_ORACLE``, giving each axiom a listing of
@@ -34,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,29 +49,17 @@ from .core import (
     raise_one,
     transposition_sites,
 )
-from .rules import RULE_CATALOG, Correspondence
-
-AXIOMS: tuple[str, ...] = (
-    "pareto",             # no chosen alternative is Pareto-dominated
-    "tops-in",            # every individual's top alternative is chosen
-    "balancedness",       # i has x just above y, j has y just above x; both swap: same set
-    "monotonicity",       # raising a chosen x keeps x chosen and admits nothing new
-    "weak-monotonicity",  # raising a chosen x keeps x chosen
-    "strong-stability",   # lowering a chosen x just below y: at most one of drop x, add y
-    "anonymity",          # permuting the individuals: same set
-    "neutrality",         # relabelling the alternatives relabels the set
+from .edges import (
+    AXIOMS,
+    THEOREM_AXIOMS,
+    THEOREM_M,
+    _EDGES,
+    _UNARY,
+    _Move,
+    _moves_at,
+    violation_mask,
 )
-
-#: Axiom list per characterization level, keyed by theorem number.
-THEOREM_AXIOMS: dict[int, tuple[str, ...]] = {
-    1: ("pareto", "tops-in"),
-    2: ("pareto", "tops-in", "balancedness"),
-    3: ("pareto", "tops-in", "balancedness", "monotonicity"),
-    4: ("pareto", "tops-in", "balancedness", "weak-monotonicity", "strong-stability"),
-}
-
-#: The range of m each level concerns; the CLI's default m is its lower end.
-THEOREM_M: dict[int, tuple[int, int]] = {1: (2, 2), 2: (3, 3), 3: (4, 4), 4: (5, 8)}
+from .rules import RULE_CATALOG, Correspondence
 
 #: The theorem harness's verdicts (see :func:`verify_theorem`).
 CONSISTENT_EQUAL = "consistent-equal"
@@ -137,174 +122,8 @@ class AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# Edge layer.  A move axiom is a move family plus an elementwise predicate
-# ``bad(gu, gv, a, b)`` on the choice sets at a move's source u and target v,
-# where ``a`` sits immediately above ``b`` at u for the individual(s) that move
-# (the symmetry moves give the two swapped individuals or labels).  Each family
-# is an involution taking the edge (u, v, a, b) to (v, u, b, a), written once as
-# ``_Move`` descriptions that ``_block_violations`` (dense, one block of the
-# grid) and ``_moves_at`` (sparse, at any profile indices) both evaluate.
-
-
-class _Move(NamedTuple):
-    """One move on the digit grid.  Individual t's ordering o becomes
-    ``perms[t][o]``, after individuals ``exchange`` and ``exchange + 1`` trade
-    orderings when ``exchange`` is set.  With ``meet = ((i, p), (j, q))`` the
-    move exists only where column ``p`` at i's ordering equals column ``q`` at
-    j's.  ``a`` and ``b`` are alternatives or, when ``on`` is set, per-ordering
-    columns read at individual ``on``'s ordering."""
-
-    perms: dict[int, np.ndarray]
-    meet: tuple[tuple[int, np.ndarray], ...]
-    exchange: int | None
-    a: object
-    b: object
-    on: int | None = None
-
-
-def _adjacent_swaps(d: DomainIndex) -> list[_Move]:
-    """One individual swaps the alternatives at ranks p and p+1."""
-    # one contiguous row per rank, as at[p][o] gathers faster than table[o, p]
-    at = np.ascontiguousarray(d.ordering_table.T).view(np.uint8)
-    swp = np.ascontiguousarray(d.swap_table.T)
-    return [_Move({i: swp[p]}, (), None, at[p], at[p + 1], i)
-            for i in range(d.n) for p in range(d.m - 1)]
-
-
-def _transpositions(d: DomainIndex) -> list[_Move]:
-    """Individuals i < j swap alternatives x and y, with x just above y for i
-    and y just above x for j: i lowers x one rank and j raises it one rank.
-    So the move exists where the alternative just below x for i is the one
-    just above x for j."""
-    m, rows = d.m, np.arange(d.order_count)
-    # the alternatives at ranks -1..m, with m+1 above the top and m below the bottom
-    padded = np.pad(d.ordering_table.view(np.uint8), ((0, 0), (1, 1)),
-                    constant_values=((0, 0), (m + 1, m)))
-    moves = []
-    for x in range(m):
-        r = d.rank_table[:, x].astype(np.intp)
-        lower = d.swap_table[rows, np.minimum(r, m - 2)]  # where x is last: unused
-        raise_ = d.swap_table[rows, np.maximum(r - 1, 0)]  # where x is first: unused
-        above, below = padded[rows, r], padded[rows, r + 2]
-        top = np.full(d.order_count, x, dtype=np.uint8)
-        moves += [_Move({i: lower, j: raise_}, ((i, below), (j, above)), None, top, below, i)
-                  for i, j in itertools.combinations(range(d.n), 2)]
-    return moves
-
-
-def _individual_swaps(d: DomainIndex) -> list[_Move]:
-    """Individuals g and g+1 exchange orderings."""
-    return [_Move({}, (), g, g, g + 1) for g in range(d.n - 1)]
-
-
-def _adjacent_relabels(d: DomainIndex) -> list[_Move]:
-    """Alternatives g and g+1 exchange labels in every ordering."""
-    relabel = d.adjacent_relabel_table
-    return [_Move(dict.fromkeys(range(d.n), relabel[g]), (), None, g, g + 1)
-            for g in range(d.m - 1)]
-
-
-def _has(s: np.ndarray, x) -> np.ndarray:
-    return ((s >> x) & 1).astype(bool)
-
-
-def _raise_breaks_monotonicity(gu, gv, a, b):
-    """Raising b at u gives v: b must stay chosen and nothing may be added."""
-    return _has(gu, b) & (~_has(gv, b) | ((gv & ~gu) != 0))
-
-
-def _raise_drops(gu, gv, a, b):
-    """Raising b at u gives v: b must stay chosen."""
-    return _has(gu, b) & ~_has(gv, b)
-
-
-def _lower_unstable(gu, gv, a, b):
-    """Lowering a at u gives v: the choice set may only stay, drop a, or,
-    when b was unchosen, gain b."""
-    one = np.uint8(1)
-    allowed = (gv == gu) | (gv == (gu & ~(one << a)))
-    allowed |= ~_has(gu, b) & (gv == (gu | (one << b)))
-    return _has(gu, a) & ~allowed
-
-
-def _relabel_mismatch(gu, gv, a, b):
-    """Swapping labels a and b at u gives v: the choice set follows."""
-    flip = ((gu >> a) ^ (gu >> b)) & 1
-    return gv != gu ^ ((flip << a) | (flip << b))
-
-
-def _changed(gu, gv, a, b):
-    return gv != gu
-
-
-_EDGES: dict[str, tuple[Callable, Callable]] = {
-    "balancedness": (_transpositions, _changed),
-    "monotonicity": (_adjacent_swaps, _raise_breaks_monotonicity),
-    "weak-monotonicity": (_adjacent_swaps, _raise_drops),
-    "strong-stability": (_adjacent_swaps, _lower_unstable),
-    "anonymity": (_individual_swaps, _changed),
-    "neutrality": (_adjacent_relabels, _relabel_mismatch),
-}
-
-
-#: The unary conditions: a fold giving sets per profile, and a predicate
-#: ``bad(gu, sets)`` on the choice sets there.  A choice set must lie within
-#: the undominated set and contain the tops.  ``equals-pareto``, the theorems'
-#: closing comparison, is no axiom: it is kept out of ``AXIOMS``.
-_UNARY: dict[str, tuple[Callable[[DomainIndex], core.Fold], Callable]] = {
-    "pareto": (core.undominated, lambda gu, sets: gu & ~sets != 0),
-    "tops-in": (core.top_choices, lambda gu, sets: sets & ~gu != 0),
-    "equals-pareto": (core.undominated, lambda gu, sets: gu != sets),
-}
-
-
-def _moves_at(d: DomainIndex, moves: Sequence[_Move], ks: np.ndarray) -> Iterator[tuple]:
-    """The sparse evaluator: the moves out of the profiles ``ks``, one move at
-    a time, as ``(rows, v, a, b)``.  ``rows`` picks the rows of ``ks`` where
-    the move exists (a slice of all of them, or an index array) and ``v``
-    holds their targets."""
-    digits = [d.digit(t, ks) for t in range(d.n)]
-    for mv in moves:
-        rows, v = slice(None), ks
-        if mv.meet:
-            (i, p), (j, q) = mv.meet
-            rows = np.flatnonzero(p[digits[i]] == q[digits[j]])
-            v = ks[rows]
-        at = [o[rows] for o in digits]
-        for t, perm in mv.perms.items():
-            v = v + (perm[at[t]] - at[t]) * d.places[t]
-        if mv.exchange is not None:
-            g = mv.exchange
-            v = v + (at[g + 1] - at[g]) * (d.places[g] - d.places[g + 1])
-        a, b = mv.a, mv.b
-        if mv.on is not None:
-            a, b = a[at[mv.on]], b[at[mv.on]]
-        yield rows, v, a, b
-
-
-def violation_mask(d: DomainIndex, axiom: str, ks: np.ndarray, gu: np.ndarray,
-                   value_at: Callable[[np.ndarray | slice, np.ndarray], np.ndarray], *,
-                   both_ways: bool = False) -> np.ndarray:
-    """Per row of ``ks`` (choice sets ``gu``), whether ``axiom`` is violated
-    there; ``value_at(rows, v)`` gives the choice sets at the targets ``v`` of
-    the moves out of the rows ``rows`` of ``ks`` (an index array or a slice).
-
-    Forward, a row is flagged when a constraint from u to a neighbour fails.
-    ``both_ways`` also flags constraints from a neighbour back to u, which,
-    as every move family is an involution, are all constraints touching u.
-    """
-    if axiom in _UNARY:
-        fold, bad = _UNARY[axiom]
-        return bad(gu, d.evaluate(d.memo(fold), ks))
-    family, bad = _EDGES[axiom]
-    viol = np.zeros(len(ks), dtype=bool)
-    for rows, v, a, b in _moves_at(d, d.memo(family), ks):
-        g, gv = gu[rows], value_at(rows, v)
-        hit = bad(g, gv, a, b)
-        if both_ways:
-            hit |= bad(gv, g, b, a)
-        viol[rows] |= hit
-    return viol
+# Dense sweeps.  The grid evaluator of the edge layer (``edges``), and the
+# driver that runs every sweep's chunks.
 
 
 def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
@@ -360,8 +179,8 @@ def _first_hit(chunks: Iterable, first: Callable[[object], int], workers: int) -
 
 # ---------------------------------------------------------------------------
 # Sparse sweeps.  Relabelling the alternatives or reordering the individuals
-# maps every move of every family above to a move of the same family, and
-# every predicate follows the relabelling.  So for an anonymous and neutral
+# maps every move of every family of ``edges`` to a move of the same family,
+# and every predicate follows the relabelling.  So for an anonymous and neutral
 # rule each axiom's set of flagged profiles is a union of S_m x S_n orbits,
 # and its smallest member is the smallest profile of its orbit.  The first
 # flagged profile among those minima (:attr:`DomainIndex.orbit_minima`) is
@@ -448,8 +267,8 @@ def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple
 
 # ---------------------------------------------------------------------------
 # Object-level oracle.  It walks the moves of ``core`` on Profile objects and
-# never touches the edge layer above, so the two stay independent.  Each axiom
-# is a site listing plus a verdict.  ``sites(d, u)`` yields, in canonical order,
+# never touches the edge layer of ``edges``, so the two stay independent.
+# Each axiom is a site listing plus a verdict.  ``sites(d, u)`` yields, in canonical order,
 # ``(v, individuals, alternatives, theta)`` for every move the axiom constrains
 # at u: ``v`` is the moved profile (None for pareto and tops-in), individuals
 # are 1-based, alternatives are indices, and ``theta`` is a neutrality site's

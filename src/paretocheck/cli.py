@@ -4,27 +4,39 @@ Subcommands: ``eval``, ``check``, ``matrix``, ``example``, ``theorem``,
 ``search``.  Exit codes: 0 when every check passes (or the reproduction
 matches, or the search finds nothing), 1 when a violation, mismatch, or
 deviation is found, 2 on usage or configuration errors, 3 on an internal
-error.  The search and example commands import ``analysis`` when they run,
-so the other commands, ``theorem`` among them, never load it.
+error.
+
+Every command reads the axiom and theorem lists of ``edges``, and each
+imports the rest of what it runs, ``_MODULE``, and nothing more: ``eval``
+runs on ``rules``; ``check``, ``matrix`` and ``theorem`` on the checkers in
+``axioms``, which import ``rules``; ``example`` on ``analysis`` as well; and
+``search`` on ``search`` alone, so it never loads ``rules``, ``axioms`` or
+``analysis``.
 """
 
 from __future__ import annotations
 
-# numpy and the package modules load ahead of argparse: in this order a
-# process's peak RSS is about 0.3 MB lower
-from .core import DomainIndex, ParseError, parse_profile
-from .rules import EXAMPLES, RULE_CATALOG, Correspondence, load_table, make_rule
-from .axioms import (AXIOMS, CONSISTENT_EQUAL, THEOREM_AXIOMS, THEOREM_M, axiom_matrix,
-                     check_axioms, verify_theorem)
-
-import argparse
 import itertools
-import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+from .core import DomainIndex, ParseError, parse_profile
+from .edges import AXIOMS, THEOREM_AXIOMS, THEOREM_M
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .rules import Correspondence
 
 DEFAULT_MAX_DOMAIN = 2_000_000
-DEFAULT_MATRIX_RULES = ",".join(RULE_CATALOG)
+
+#: The package module each command runs, with the modules it imports.
+#: ``main`` imports it before argparse and json load: compiled after the
+#: parser is built, the modules left a fresh process's peak RSS higher, by
+#: 0.7 MB on ``theorem 4`` at (5,3) and 0.4 MB on ``check --axioms all``
+#: (medians of 7 runs, 2 shared vCPUs).
+_MODULE = {"eval": "rules", "check": "axioms", "matrix": "axioms", "theorem": "axioms",
+           "example": "analysis", "search": "search"}
 
 
 class ConfigError(Exception):
@@ -41,6 +53,8 @@ def _add_common(p: argparse.ArgumentParser, *, workers: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="paretocheck",
         description="Axiom checking for social choice correspondences on strict-preference profiles.",
@@ -62,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("matrix", help="axiom grid over several rules")
-    p.add_argument("--rules", default=DEFAULT_MATRIX_RULES)
+    p.add_argument("--rules", default=None)  # None: the catalog
     p.add_argument("--axioms", default="all")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--n", type=int, default=3)
@@ -107,6 +121,8 @@ def _parse_axioms(text: str) -> tuple[str, ...]:
 
 
 def _load_rule(args, m: int | None, n: int | None) -> Correspondence:
+    from .rules import load_table, make_rule
+
     if args.table:
         with open(args.table, "r", encoding="utf-8") as fh:
             rule = load_table(fh.read())
@@ -131,6 +147,8 @@ def _guard_domain(d: DomainIndex, cap: int) -> None:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        import json
+
         chunks = json.JSONEncoder(indent=2).iterencode(payload)  # written in runs, never whole
         while run := "".join(itertools.islice(chunks, 1 << 14)):
             sys.stdout.write(run)
@@ -140,6 +158,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .rules import make_rule
+
     if args.table:
         rule = _load_rule(args, None, None)
         profile = parse_profile(args.profile, rule.universe)
@@ -170,6 +190,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .axioms import check_axioms
+
     rule = _load_rule(args, args.m, args.n)
     axioms = _parse_axioms(args.axioms)
     d = DomainIndex(rule.m, rule.n, rule.universe.labels)
@@ -182,7 +204,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    names = [r.strip() for r in args.rules.split(",") if r.strip()]
+    from .axioms import axiom_matrix
+    from .rules import RULE_CATALOG, make_rule
+
+    text = ",".join(RULE_CATALOG) if args.rules is None else args.rules
+    names = [r.strip() for r in text.split(",") if r.strip()]
     if not names:
         raise ConfigError("no rules given")
     axioms = _parse_axioms(args.axioms)
@@ -209,6 +235,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_example(args) -> int:
     from .analysis import reproduce_example
+    from .rules import EXAMPLES
 
     # example k's entries are reproduced at their claim sizes, or at --n when n is free
     for entry in (e for name, e in EXAMPLES.items() if name.split("-")[0] == f"example:{args.k}"):
@@ -225,6 +252,8 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
+    from .axioms import CONSISTENT_EQUAL, verify_theorem
+
     m, n = args.m, args.n
     if not args.table:  # a table file gives its own sizes
         m = m if m is not None else THEOREM_M[args.k][0]
@@ -243,7 +272,7 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .analysis import perturbation_search
+    from .search import perturbation_search
 
     axioms = _parse_axioms(args.axioms)
     d = DomainIndex(args.m, args.n)
@@ -284,6 +313,9 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _MODULE:
+        __import__(f"{__package__}.{_MODULE[argv[0]]}")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

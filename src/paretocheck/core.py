@@ -56,8 +56,14 @@ class Universe:
             raise ValueError(f"alternative labels must be distinct: {self.labels!r}")
 
     @classmethod
-    def of_size(cls, m: int) -> "Universe":
-        """The default labels: 'a' for alternative 0, 'b' for 1, and so on."""
+    def of_size(cls, m: int, labels: str | None = None) -> "Universe":
+        """The universe of m alternatives over ``labels``, which must be m
+        labels long, or over the default labels when None: 'a' for
+        alternative 0, 'b' for 1, and so on."""
+        if labels is not None:
+            if len(labels) != m:
+                raise ValueError(f"labels {labels!r} do not match m={m}")
+            return cls(labels)
         if not 2 <= m <= MAX_ALTERNATIVES:
             raise ValueError(f"supported sizes are 2..{MAX_ALTERNATIVES} alternatives, got {m}")
         return cls(_LABEL_POOL[:m])
@@ -341,9 +347,7 @@ class DomainIndex:
             raise ValueError(f"supported sizes are 2..{MAX_ALTERNATIVES} alternatives, got {m}")
         if not 2 <= n <= MAX_INDIVIDUALS:
             raise ValueError(f"supported sizes are 2..{MAX_INDIVIDUALS} individuals, got {n}")
-        self.universe = Universe(labels) if labels is not None else Universe.of_size(m)
-        if self.universe.m != m:
-            raise ValueError(f"labels {self.universe.labels!r} do not match m={m}")
+        self.universe = Universe.of_size(m, labels)
         self.m = m
         self.n = n
         self.order_count = math.factorial(m)

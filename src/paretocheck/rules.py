@@ -458,12 +458,10 @@ def make_rule(name: str, m: int | None = None, n: int | None = None,
                 raise ValueError(f"example {k} needs {axis} >= {least}, got {axis}={size}")
             sizes.append(size)
         m, n = sizes
-        labels = labels or entry.labels
+        labels = entry.labels if labels is None else labels
     elif m is None or n is None:
         raise ValueError(f"rule {name!r} needs explicit sizes m and n")
-    universe = Universe(labels) if labels else Universe.of_size(m)
-    if universe.m != m:
-        raise ValueError(f"labels {universe.labels!r} do not match m={m}")
+    universe = Universe.of_size(m, labels)
     if entry is None:
         return Correspondence(universe, n, default=name, name=name)
     try:
@@ -643,9 +641,7 @@ def load_table(source: str | dict) -> Correspondence:
             raise ValueError(f"the {field!r} field is {what}, got {type(value).__name__}")
     if labels is None and raw:
         labels = "".join(dict.fromkeys(c for c in next(iter(raw)) if c not in "| \t"))
-    universe = Universe(labels) if labels else Universe.of_size(m)
-    if universe.m != m:
-        raise ValueError(f"labels {universe.labels!r} do not match m={m}")
+    universe = Universe.of_size(m, labels)
     overrides, keys = {}, {}
     for text, chosen in raw.items():
         if not (isinstance(chosen, str)

@@ -21,7 +21,8 @@ from paretocheck import (
     verify_theorem,
 )
 from paretocheck import analysis, axioms
-from paretocheck.analysis import _claim_checks, Deviation
+from paretocheck.analysis import _claim_checks
+from paretocheck.search import Deviation
 from paretocheck.axioms import (
     CONSISTENT_COUNTEREXAMPLE,
     CONSISTENT_EQUAL,

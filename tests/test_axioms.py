@@ -22,14 +22,8 @@ from paretocheck import (
 )
 from paretocheck import core
 from paretocheck import axioms
-from paretocheck.axioms import (
-    _EDGES,
-    _block_violations,
-    _moves_at,
-    _sites_transpositions,
-    _transpositions,
-    violation_mask,
-)
+from paretocheck.axioms import _block_violations, _sites_transpositions
+from paretocheck.edges import _EDGES, _moves_at, _transpositions, violation_mask
 from paretocheck.core import Profile, enumerate_orderings, permute_mask
 from paretocheck.rules import (
     RULE_CATALOG,

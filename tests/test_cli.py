@@ -356,8 +356,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 # -- the package namespace ----------------------------------------------------------
 
-# every name the package exports, grouped by the module that defines it;
-# verify_theorem stays importable from analysis as well
+# every name the package exports, grouped by the module that defines it
 _EXPORTS = {
     "core": (
         "DomainIndex", "Ordering", "ParseError", "Profile",
@@ -369,15 +368,15 @@ _EXPORTS = {
         "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "load_table",
         "make_rule", "pareto_set_by_elimination",
     ),
+    "edges": ("AXIOMS", "THEOREM_AXIOMS"),
+    "search": ("Deviation", "perturbation_search"),
     "axioms": (
-        "AXIOMS", "AxiomReport", "THEOREM_AXIOMS", "TheoremResult", "Witness",
-        "axiom_matrix", "check_axiom", "check_axiom_reference", "check_axioms",
-        "replay_witness", "verify_theorem",
+        "AxiomReport", "TheoremResult", "Witness", "axiom_matrix", "check_axiom",
+        "check_axiom_reference", "check_axioms", "replay_witness", "verify_theorem",
     ),
     "analysis": (
-        "Deviation", "ExampleReport", "HeightResult", "gap", "height",
-        "perturbation_search", "reproduce_example", "stability_descent_audit",
-        "verify_theorem",
+        "ExampleReport", "HeightResult", "gap", "height", "reproduce_example",
+        "stability_descent_audit",
     ),
 }
 
@@ -405,6 +404,21 @@ def test_namespace_keeps_every_name():
             assert vars(paretocheck)[name] is value, name
             assert name in listed, name
     assert paretocheck.__version__ == "0.1.0" and "__version__" in listed
+
+
+def test_benchmark_names_resolve_where_it_reads_them():
+    # benchmarks/workloads.py calls analysis.perturbation_search and
+    # analysis.verify_theorem, and benchmarks/tracing.py wraps them by name in
+    # each module that holds them: one object each, loaded from its own module
+    from paretocheck import analysis, axioms, edges, search
+
+    assert paretocheck._MODULE_OF["perturbation_search"] == "search"
+    assert paretocheck._MODULE_OF["verify_theorem"] == "axioms"
+    assert paretocheck._MODULE_OF["AXIOMS"] == paretocheck._MODULE_OF["THEOREM_AXIOMS"] == "edges"
+    assert paretocheck.perturbation_search is search.perturbation_search is analysis.perturbation_search
+    assert paretocheck.verify_theorem is axioms.verify_theorem is analysis.verify_theorem
+    assert paretocheck.AXIOMS is edges.AXIOMS is axioms.AXIOMS
+    assert paretocheck.THEOREM_AXIOMS is edges.THEOREM_AXIOMS is axioms.THEOREM_AXIOMS
 
 
 def test_namespace_rejects_unknown_names():
@@ -477,6 +491,22 @@ print(json.dumps(out))
 """
 
 
+# one command in a fresh process: its exit code, the package modules it
+# loaded, and those it loaded after argparse (sys.modules lists modules in the
+# order their imports finished)
+_COMMAND_PROBE = """
+import contextlib, io, sys
+from paretocheck.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+order = [m for m in sys.modules if m.startswith("paretocheck.") or m == "argparse"]
+late = order[order.index("argparse"):]
+import json
+print(json.dumps({{"code": code, "loaded": sorted(m for m in order if m.startswith("paretocheck.")),
+                  "late": [m for m in late if m.startswith("paretocheck.")]}}))
+"""
+
+
 def test_fresh_process_loads_only_the_modules_it_runs():
     out = _probe(_LOAD_PROBE)
     assert out["import"] == [] and not out["numpy"]
@@ -484,8 +514,21 @@ def test_fresh_process_loads_only_the_modules_it_runs():
     assert out["make_rule"] == ["paretocheck.core", "paretocheck.rules"]
     assert out["codes"] == [0, 1, 0]
     assert out["check"] == ["paretocheck.axioms", "paretocheck.cli", "paretocheck.core",
-                            "paretocheck.rules"]
+                            "paretocheck.edges", "paretocheck.rules"]
     assert "paretocheck.analysis" not in out["theorem"]
+    search = _probe(_COMMAND_PROBE.format(argv=[
+        "search", "--m", "4", "--n", "3", "--axioms", "pareto,tops-in,balancedness",
+        "--mode", "orbit", "--format", "json"]))
+    assert search == {"code": 1, "late": [],
+                      "loaded": ["paretocheck.cli", "paretocheck.core", "paretocheck.edges",
+                                 "paretocheck.search"]}
+    evaluated = _probe(_COMMAND_PROBE.format(argv=[
+        "eval", "--rule", "borda", "--profile", "abc|bca|cab", "--format", "json"]))
+    assert evaluated == {"code": 0, "late": [],
+                         "loaded": ["paretocheck.cli", "paretocheck.core", "paretocheck.edges",
+                                    "paretocheck.rules"]}
+    theorem = _probe(_COMMAND_PROBE.format(argv=["theorem", "2", "--rule", "pareto"]))
+    assert theorem["code"] == 0 and theorem["late"] == []
 
 
 # np.unique imports numpy.ma on first use, about 10 ms and 1 MB in a fresh process

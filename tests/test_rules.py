@@ -320,6 +320,22 @@ def test_example_labels_must_match_size():
         make_rule("pareto", 3, 3, "ab")
 
 
+def test_empty_labels_are_refused_with_one_message():
+    # an empty label string is labels of the wrong length, not "no labels"
+    builds = [lambda: load_table({"m": 3, "n": 2, "default": "pareto", "labels": ""}),
+              lambda: load_table('{"m": 3, "n": 2, "default": "pareto", "labels": ""}'),
+              lambda: make_rule("pareto", 3, 2, ""),
+              lambda: make_rule("example:1", labels=""),
+              lambda: DomainIndex(3, 2, "")]
+    for build in builds:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "labels '' do not match m=3"
+    # None still means the default labels
+    assert make_rule("pareto", 3, 2, None).universe.labels == DomainIndex(3, 2).universe.labels == "abc"
+    assert load_table({"m": 3, "n": 2, "default": "pareto", "labels": None}).universe.labels == "abc"
+
+
 def test_example_overrides_keep_their_own_labels():
     # overrides written as profile text are stated over the entry's labels
     for k, labels, stated in [(4, "abc", "xyz"), (5, "abcd", "xyzw"), (10, "xyz", "abc")]:
