@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     DomainIndex,
     Profile,
+    Record,
     TranspositionSite,
     apply_transposition,
     lower_one,
@@ -37,19 +38,15 @@ from .search import perturbation_search
 
 
 @dataclass(frozen=True)
-class HeightWitness:
+class HeightWitness(Record):
     profile: str
     rank: int          # h(v) for this profile
     individual: int    # 1-based; smallest individual holding the rank
     alternative: str   # the unchosen undominated alternative at that rank
 
-    def to_json(self) -> dict:
-        return {"profile": self.profile, "rank": self.rank,
-                "individual": self.individual, "alternative": self.alternative}
-
 
 @dataclass(frozen=True)
-class HeightResult:
+class HeightResult(Record):
     """Minimum, over all profiles with an unchosen undominated alternative,
     of the best rank such an alternative reaches.  ``height`` is absent when
     no profile has one (the rule then chooses every undominated alternative).
@@ -58,13 +55,6 @@ class HeightResult:
     height: int | None
     profiles_with_unchosen: int
     witnesses: tuple[HeightWitness, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "height": self.height,
-            "profiles_with_unchosen": self.profiles_with_unchosen,
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
 
 
 def height(G: Correspondence, d: DomainIndex, *, witness_cap: int = 16) -> HeightResult:
@@ -219,24 +209,17 @@ def stability_descent_audit(G: Correspondence, d: DomainIndex, *,
 
 
 @dataclass(frozen=True)
-class ExampleCheck:
+class ExampleCheck(Record):
     name: str
     passed: bool
     detail: str
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
-class ExampleReport:
+class ExampleReport(Record):
     example: int
     ok: bool
     checks: tuple[ExampleCheck, ...]
-
-    def to_json(self) -> dict:
-        return {"example": self.example, "ok": self.ok,
-                "checks": [c.to_json() for c in self.checks]}
 
 
 def _check_deviation(G: Correspondence, d: DomainIndex, mode: str) -> ExampleCheck:

@@ -40,6 +40,7 @@ from .core import (
     MAX_ALTERNATIVES,
     DomainIndex,
     Profile,
+    Record,
     apply_alternative_permutation,
     apply_individual_permutation,
     apply_transposition,
@@ -66,9 +67,13 @@ CONSISTENT_EQUAL = "consistent-equal"
 CONSISTENT_COUNTEREXAMPLE = "consistent-counterexample"
 THEOREM_CONTRADICTION = "THEOREM-CONTRADICTION"
 
+#: The symmetry axioms.  A rule whose default claims both is swept on orbit
+#: minima, and they themselves always sweep the rule's value table whole.
+_SYMMETRIES = frozenset({"anonymity", "neutrality"})
+
 
 @dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A recorded violation: profiles as text, individuals 1-based, and the
     observed versus allowed choice sets."""
 
@@ -78,18 +83,9 @@ class Witness:
     observed: tuple[str, ...]
     expected: str
 
-    def to_json(self) -> dict:
-        return {
-            "profiles": list(self.profiles),
-            "individuals": list(self.individuals),
-            "alternatives": list(self.alternatives),
-            "observed": list(self.observed),
-            "expected": self.expected,
-        }
-
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     axiom: str
     verdict: str  # "pass" | "fail"
     witness: Witness | None
@@ -98,14 +94,6 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "verdict": self.verdict,
-            "witness": self.witness.to_json() if self.witness else None,
-            "profiles_scanned": self.profiles_scanned,
-        }
 
     def summary(self) -> str:
         if self.passed:
@@ -196,7 +184,7 @@ def _symmetric_default(G: Correspondence) -> Correspondence | None:
     """``G``'s default rule alone, when its catalog entry claims anonymity
     and neutrality, and None otherwise."""
     entry = RULE_CATALOG.get(G.default)
-    if entry is None or not {"anonymity", "neutrality"} <= entry.expected_axioms:
+    if entry is None or not _SYMMETRIES <= entry.expected_axioms:
         return None
     return Correspondence(G.universe, G.n, G.default) if G.overrides else G
 
@@ -232,7 +220,7 @@ def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple
     rule's value table."""
     # the move family is memoised here, before the threads read it
     moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
-    D = None if axiom in ("anonymity", "neutrality") else _symmetric_default(G)
+    D = None if axiom in _SYMMETRIES else _symmetric_default(G)
     if D is not None:
         if D is G:
             return "quotient", _sparse_hit(d, axiom, G, d.orbit_minima, workers)
@@ -274,10 +262,6 @@ def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple
 # are 1-based, alternatives are indices, and ``theta`` is a neutrality site's
 # relabeling.  ``verdict(d, gu, gv, alternatives, theta)`` returns the
 # witness's ``expected`` text when the site is violated, and None otherwise.
-
-
-def _fmt(d: DomainIndex, mask: int) -> str:
-    return d.universe.mask_text(mask)
 
 
 def _sites_dominated(d: DomainIndex, u: Profile) -> Iterator[tuple]:
@@ -355,13 +339,13 @@ def _expect_top(d, gu, gv, alternatives, theta):
 
 
 def _expect_unchanged(d, gu, gv, alternatives, theta):
-    return None if gv == gu else f"the unchanged choice set {_fmt(d, gu)}"
+    return None if gv == gu else f"the unchanged choice set {d.universe.mask_text(gu)}"
 
 
 def _expect_monotone(d, gu, gv, alternatives, theta):
     x = alternatives[0]
     if gu >> x & 1 and not (gv >> x & 1 and gv & ~gu == 0):
-        return f"a subset of {_fmt(d, gu)} containing {d.universe.label(x)}"
+        return f"a subset of {d.universe.mask_text(gu)} containing {d.universe.label(x)}"
     return None
 
 
@@ -381,12 +365,12 @@ def _expect_stable(d, gu, gv, alternatives, theta):
         allowed.append(gu & ~(1 << x))
     if not gu >> y & 1:
         allowed.append(gu | (1 << y))
-    return None if gv in allowed else "one of: " + ", ".join(_fmt(d, a) for a in allowed)
+    return None if gv in allowed else "one of: " + ", ".join(map(d.universe.mask_text, allowed))
 
 
 def _expect_relabeled(d, gu, gv, alternatives, theta):
     want = permute_mask(gu, theta)
-    return None if gv == want else f"the relabeled choice set {_fmt(d, want)}"
+    return None if gv == want else f"the relabeled choice set {d.universe.mask_text(want)}"
 
 
 _ORACLE: dict[str, tuple[Callable, Callable]] = {
@@ -427,7 +411,7 @@ def _violations(axiom: str, G: Correspondence, d: DomainIndex, u: Profile,
                 profiles=tuple(str(p) for p, _ in ends),
                 individuals=individuals,
                 alternatives=tuple(d.universe.label(a) for a in alternatives),
-                observed=tuple(_fmt(d, g) for _, g in ends),
+                observed=tuple(d.universe.mask_text(g) for _, g in ends),
                 expected=expected,
             )
 
@@ -483,7 +467,7 @@ def check_axioms(G: Correspondence, d: DomainIndex, axioms: Sequence[str] = AXIO
     """Check ``axioms`` in order.  When one of them sweeps ``G``'s value table
     whole (anonymity and neutrality always do), the table is built first, so
     the sparse checks before that one read it too."""
-    if not {"anonymity", "neutrality"}.isdisjoint(axioms):
+    if not _SYMMETRIES.isdisjoint(axioms):
         G.value_table(d)
     return [check_axiom(a, G, d, workers=workers) for a in axioms]
 

@@ -7,16 +7,17 @@ deviation is found, 2 on usage or configuration errors, 3 on an internal
 error.
 
 Every command reads the axiom and theorem lists of ``edges``, and each
-imports the rest of what it runs, ``_MODULE``, and nothing more: ``eval``
-runs on ``rules``; ``check``, ``matrix`` and ``theorem`` on the checkers in
-``axioms``, which import ``rules``; ``example`` on ``analysis`` as well; and
-``search`` on ``search`` alone, so it never loads ``rules``, ``axioms`` or
-``analysis``.
+imports the rest of what it runs, its module in ``_COMMANDS``, and nothing
+more: ``eval`` runs on ``rules``; ``check``, ``matrix`` and ``theorem`` on
+the checkers in ``axioms``, which import ``rules``; ``example`` on
+``analysis`` as well; and ``search`` on ``search`` alone, so it never loads
+``rules``, ``axioms`` or ``analysis``.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -29,14 +30,6 @@ if TYPE_CHECKING:
     from .rules import Correspondence
 
 DEFAULT_MAX_DOMAIN = 2_000_000
-
-#: The package module each command runs, with the modules it imports.
-#: ``main`` imports it before argparse and json load: compiled after the
-#: parser is built, the modules left a fresh process's peak RSS higher, by
-#: 0.7 MB on ``theorem 4`` at (5,3) and 0.4 MB on ``check --axioms all``
-#: (medians of 7 runs, 2 shared vCPUs).
-_MODULE = {"eval": "rules", "check": "axioms", "matrix": "axioms", "theorem": "axioms",
-           "example": "analysis", "search": "search"}
 
 
 class ConfigError(Exception):
@@ -146,27 +139,29 @@ def _guard_domain(d: DomainIndex, cap: int) -> None:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        import json
+    try:
+        if args.format == "json":
+            import json
 
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)  # written in runs, never whole
-        while run := "".join(itertools.islice(chunks, 1 << 14)):
-            sys.stdout.write(run)
-        sys.stdout.write("\n")
-    else:
-        print(text)
+            chunks = json.JSONEncoder(indent=2).iterencode(payload)  # written in runs, never whole
+            while run := "".join(itertools.islice(chunks, 1 << 14)):
+                sys.stdout.write(run)
+            sys.stdout.write("\n")
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the command's exit code stands, and what
+        # is left in the buffer is flushed at exit into nothing
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _cmd_eval(args) -> int:
     from .rules import make_rule
 
-    if args.table:
-        rule = _load_rule(args, None, None)
-        profile = parse_profile(args.profile, rule.universe)
-        if profile.n != rule.n:
-            raise ConfigError(f"rule {rule.name!r} has n={rule.n}, "
-                              f"profile has {profile.n} individuals")
-    elif (args.rule or "").startswith("example:"):
+    profile = None
+    if args.table or (args.rule or "").startswith("example:"):
         rule = _load_rule(args, None, None)
         try:
             profile = parse_profile(args.profile, rule.universe)
@@ -174,11 +169,10 @@ def _cmd_eval(args) -> int:
                 raise ConfigError(f"rule {rule.name!r} has n={rule.n}, "
                                   f"profile has {profile.n} individuals")
         except (ParseError, ConfigError):
-            # examples with free sizes adapt to the profile's universe
-            profile = parse_profile(args.profile)
-            rule = make_rule(args.rule, profile.m, profile.n,
-                             labels=profile.universe.labels)
-    else:
+            if args.table:
+                raise
+            profile = None  # examples with free sizes adapt to the profile's universe
+    if profile is None:
         if not args.rule:
             raise ConfigError("one of --rule or --table is required")
         profile = parse_profile(args.profile)
@@ -302,27 +296,32 @@ def _cmd_search(args) -> int:
     return 1 if deviations else 0
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "check": _cmd_check,
-    "matrix": _cmd_matrix,
-    "example": _cmd_example,
-    "theorem": _cmd_theorem,
-    "search": _cmd_search,
+#: Each command's handler, and the package module it runs with the modules
+#: that one imports.  ``main`` imports the module before argparse and json
+#: load: compiled after the parser is built, the modules left a fresh
+#: process's peak RSS higher, by 0.7 MB on ``theorem 4`` at (5,3) and 0.4 MB
+#: on ``check --axioms all`` (medians of 7 runs, 2 shared vCPUs).
+_COMMANDS = {
+    "eval": (_cmd_eval, "rules"),
+    "check": (_cmd_check, "axioms"),
+    "matrix": (_cmd_matrix, "axioms"),
+    "example": (_cmd_example, "analysis"),
+    "theorem": (_cmd_theorem, "axioms"),
+    "search": (_cmd_search, "search"),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _MODULE:
-        __import__(f"{__package__}.{_MODULE[argv[0]]}")
+    if argv and argv[0] in _COMMANDS:
+        __import__(f"{__package__}.{_COMMANDS[argv[0]][1]}")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

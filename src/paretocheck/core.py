@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -39,6 +39,26 @@ Ordering = tuple[int, ...]
 #: of per-ordering columns, the same for `DomainIndex.tabulate` over
 #: the whole domain and `DomainIndex.evaluate` at some profiles.
 Fold = Callable[[Callable[..., np.ndarray]], np.ndarray]
+
+
+class Record:
+    """A result record: a dataclass whose JSON is its fields in declaration
+    order, a nested record as an object and a tuple as a list."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json(value: object) -> object:
+    if isinstance(value, Record):
+        return value.to_json()
+    if not isinstance(value, tuple):
+        return value
+    if value and isinstance(value[0], Record):
+        return [v.to_json() for v in value]
+    if value and isinstance(value[0], tuple):
+        return list(map(list, value))  # one call per member would slow a large search's JSON
+    return list(value)
 
 
 @dataclass(frozen=True)
@@ -421,16 +441,19 @@ class DomainIndex:
                          for g in range(self.m - 1)])
 
     @cached_property
+    def unrelabel_masks(self) -> np.ndarray:
+        """(m!, 2**m) uint8: each choice-set mask under the inverse of the
+        relabelling ``rank_table[o]``, which takes alternative a to ordering
+        o's alternative at rank a."""
+        masks, orders = np.arange(1 << self.m), self.ordering_table.view(np.uint8)
+        return reduce(np.bitwise_or, (((masks >> a) & 1).astype(np.uint8) << orders[:, a, None]
+                                      for a in range(self.m)))
+
+    @cached_property
     def adjacent_relabel_masks(self) -> np.ndarray:
-        """(m-1, 2**m) uint8: choice-set mask after relabeling a <-> a+1."""
-        size = 1 << self.m
-        out = np.empty((self.m - 1, size), dtype=np.uint8)
-        for g in range(self.m - 1):
-            theta = list(range(self.m))
-            theta[g], theta[g + 1] = theta[g + 1], theta[g]
-            for mask in range(size):
-                out[g, mask] = permute_mask(mask, theta)
-        return out
+        """(m-1, 2**m) uint8: choice-set mask after relabeling a <-> a+1, an
+        involution named by ordering ``swap_table[0, a]``."""
+        return self.unrelabel_masks[self.swap_table[0]]
 
     def memo(self, build: Callable[["DomainIndex"], object]) -> object:
         """``build(self)``, computed on first use and kept with the domain

@@ -33,7 +33,6 @@ from .core import (
     apply_alternative_permutation,
     apply_individual_permutation,
     parse_profile,
-    permute_mask,
     top_choices,
     undominated,
 )

@@ -1,9 +1,10 @@
 """The perturbation search for rules that differ from the undominated-set
 rule yet pass a given axiom list (:func:`perturbation_search`).
 
-It reads the Pareto and tops sets from the folds of ``core`` and checks
-each candidate with the edge layer of ``edges``, so a search loads neither
-the rules nor the checkers.  A found :class:`Deviation` imports ``rules``
+It reads the Pareto and tops sets from the folds of ``core``, relabels
+choice sets with ``DomainIndex.unrelabel_masks``, and checks each candidate
+with the edge layer of ``edges``, so a search loads neither the rules nor
+the checkers.  A found :class:`Deviation` imports ``rules``
 only when it is made into a :class:`~paretocheck.rules.Correspondence`.
 """
 
@@ -11,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import DomainIndex, parse_profile, top_choices, undominated
+from .core import DomainIndex, Record, parse_profile, top_choices, undominated
 from .edges import AXIOMS, violation_mask
 
 if TYPE_CHECKING:
@@ -24,16 +24,12 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class Deviation:
+class Deviation(Record):
     """A table correspondence differing from the undominated-set rule on one
     profile (single mode) or one symmetry orbit (orbit mode)."""
 
     profiles: tuple[str, ...]
     choice_sets: tuple[tuple[str, ...], ...]
-
-    def to_json(self) -> dict:
-        return {"profiles": list(self.profiles),
-                "choice_sets": [list(cs) for cs in self.choice_sets]}
 
     def to_correspondence(self, d: DomainIndex) -> Correspondence:
         from .rules import Correspondence
@@ -50,15 +46,6 @@ class Deviation:
 #: profiles, so its (profile x mask) candidate grid stays within this many
 #: cells.  This bounds the search's working memory.
 _SEARCH_CELLS = 1 << 16
-
-
-def _unrelabel_masks(d: DomainIndex) -> np.ndarray:
-    """(m!, 2**m) uint8: each choice-set mask under the inverse of the
-    relabelling ``rank_table[o]``, which takes alternative a to ordering o's
-    alternative at rank a."""
-    masks, orders = np.arange(1 << d.m), d.ordering_table.view(np.uint8)
-    return reduce(np.bitwise_or, (((masks >> a) & 1).astype(np.uint8) << orders[:, a, None]
-                                  for a in range(d.m)))
 
 
 def _is_candidate(tops: np.ndarray, pareto: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -128,7 +115,7 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     axiom_set = frozenset(axioms)
-    unrelabel = d.memo(_unrelabel_masks)
+    unrelabel = d.unrelabel_masks
     pareto, tops = d.memo(undominated), d.memo(top_choices)
     # Both modes check one base per S_m x S_n orbit, its smallest profile.  A
     # single-mode orbit meets the first ``budget`` candidates only if its base does

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from paretocheck import (
     stability_descent_audit,
     verify_theorem,
 )
-from paretocheck import analysis, axioms
+from paretocheck import analysis, axioms, search
 from paretocheck.analysis import _claim_checks
 from paretocheck.search import Deviation
 from paretocheck.axioms import (
@@ -51,6 +52,24 @@ def test_height_example_5(d43xyzw):
     (w,) = result.witnesses
     assert w.profile == "xyzw|ywxz|zwxy"
     assert w.rank == 2 and w.individual == 2 and w.alternative == "w"
+
+
+def test_height_and_example_reports_serialise_their_fields_in_order(d43xyzw):
+    # a record's JSON is its fields in declaration order, nested records as
+    # objects and tuples as lists
+    result = height(make_rule("example:5"), d43xyzw, witness_cap=2)
+    assert json.dumps(result.to_json()) == (
+        '{"height": 2, "profiles_with_unchosen": 1, "witnesses": [{"profile": '
+        '"xyzw|ywxz|zwxy", "rank": 2, "individual": 2, "alternative": "w"}]}')
+    checks = [("example:4 deviates from the undominated set exactly as declared",
+               "1 profiles differ; 1 fixed"),
+              ("example:4 at xyz|yzx|zxy chooses {x}", "observed {x}"),
+              ("example:4 fails tops-in (witness replays)", "witness at xyz|yzx|zxy"),
+              ("example:4 satisfies pareto", ""), ("example:4 satisfies balancedness", "")]
+    assert json.dumps(reproduce_example(4).to_json()) == (
+        '{"example": 4, "ok": true, "checks": ['
+        + ", ".join(f'{{"name": "{name}", "passed": true, "detail": "{detail}"}}'
+                    for name, detail in checks) + "]}")
 
 
 def test_height_example_8(d52paper):
@@ -463,6 +482,25 @@ def test_single_search_is_closed_under_the_group(sizes, axioms, count):
                           apply_alternative_permutation(d.profile(k), theta), rho)),
                       permute_mask(s, theta)) for k, s in found}
             assert image == found, (theta, rho)
+
+
+@pytest.mark.parametrize("sizes, axioms", [
+    pytest.param((4, 3), ("pareto", "tops-in", "balancedness"), id="4x3"),
+    pytest.param((5, 2), ("pareto", "tops-in", "balancedness", "weak-monotonicity"), id="5x2"),
+])
+def test_search_batches_leave_the_result_unchanged(sizes, axioms, monkeypatch):
+    # a batch takes _SEARCH_CELLS >> m bases, so one base per batch, or
+    # three, splits the search at many batch boundaries; orbit mode counts its
+    # budget across them
+    d = DomainIndex(*sizes)
+    runs = [(mode, budget) for mode in ("single", "orbit") for budget in (7, 333, 10**6)]
+    want = [perturbation_search(d, axioms, mode=mode, budget=budget) for mode, budget in runs]
+    assert len(d.orbit_minima) <= search._SEARCH_CELLS >> d.m  # by default one batch
+    for cells in (1, 3 << d.m):
+        monkeypatch.setattr(search, "_SEARCH_CELLS", cells)
+        got = [perturbation_search(d, axioms, mode=mode, budget=budget) for mode, budget in runs]
+        assert got == want, cells
+    assert want[2] and want[5]  # both modes find deviations within the full budget
 
 
 def test_single_search_count_at_4_4():

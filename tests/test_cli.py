@@ -347,11 +347,29 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     # 1 means "a violation was found", so a crash has its own code
     def crash(args):
         raise RuntimeError("boom")
-    monkeypatch.setitem(cli._HANDLERS, "check", crash)
+    monkeypatch.setitem(cli._COMMANDS, "check", (crash, "axioms"))
     code, out, err = run(capsys, "check", "--rule", "pareto")
     assert code == 3 and out == ""
     assert err.startswith("error: internal error\n")
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_closed_stdout_keeps_the_commands_exit_code():
+    # a reader that stops early, like `| head`, is no usage error (exit 2): the
+    # search's exit 1 stands and stderr stays empty.  Its 397 KB of JSON
+    # exceed a pipe's 64 KB buffer, so the write after the close fails
+    path = os.pathsep.join(filter(None, [str(Path(paretocheck.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "paretocheck", "search", "--m", "4", "--n", "4",
+         "--axioms", "pareto,tops-in,balancedness", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+    head = child.stdout.read(100)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert head.startswith(b'{\n  "theorem": null') and err == b""
 
 
 # -- the package namespace ----------------------------------------------------------

@@ -23,7 +23,7 @@ from paretocheck import (
     replay_witness,
     transposition_sites,
 )
-from paretocheck.core import _swap_adjacent
+from paretocheck.core import _swap_adjacent, permute_mask
 from paretocheck.rules import symmetry_orbit
 
 
@@ -355,6 +355,20 @@ def test_relabel_action_matches_object_level_relabeling(m):
     assert d.relabel_action(thetas[-1]).tolist() == want[-1]
     with pytest.raises(ValueError, match="permutation"):
         d.relabel_action([thetas[0], (0,) * m])
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_relabelled_mask_tables_match_permute_mask(m):
+    # row o of unrelabel_masks takes alternative a to ordering o's alternative
+    # at rank a, and the adjacent relabellings are rows of it
+    d = DomainIndex(m, 2)
+    adjacent = d.adjacent_relabel_masks
+    want = [[permute_mask(s, _swap_adjacent(tuple(range(m)), g)) for s in range(1 << m)]
+            for g in range(m - 1)]
+    assert adjacent.dtype == np.uint8 and adjacent.tolist() == want
+    for o in (0, 1, d.order_count // 2, d.order_count - 1):
+        assert d.unrelabel_masks[o].tolist() == [permute_mask(s, d.orderings[o])
+                                                 for s in range(1 << m)]
 
 
 @pytest.mark.parametrize("m", range(2, 8))

@@ -1,5 +1,7 @@
-"""The README's Library block runs as written, and prints what it says."""
+"""The README's Library block runs as written, and prints what it says, and
+its report example is what the checker reports."""
 
+import json
 import os
 import re
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import paretocheck
+from paretocheck import DomainIndex, check_axiom, make_rule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +38,11 @@ def test_readme_library_block_runs():
     done = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_report_example_is_the_checkers_report():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Report formats\n", 1)[1]
+    shown = json.loads(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+    report = check_axiom("balancedness", make_rule("example:10"), DomainIndex(3, 3, "abc"))
+    assert json.dumps(shown) == json.dumps(report.to_json())  # keys in order too
