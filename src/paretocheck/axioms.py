@@ -129,7 +129,7 @@ def _block_violations(d: DomainIndex, axiom: str, moves: Sequence[_Move],
         gv = source[tuple(slice(None) if t in mv.perms else s for t, s in enumerate(index))]
         for t, perm in mv.perms.items():
             # a fancy index gathers the targets alone; take would first copy gv whole
-            gv = gv[(slice(None),) * t + (perm[index[t]] if t < len(index) else perm,)]
+            gv = gv[(slice(None),) * t + (perm[index[t]],)]
         a, b = mv.a, mv.b
         if mv.on is not None:
             a, b = d.on_axis(index, mv.on, a), d.on_axis(index, mv.on, b)
@@ -201,18 +201,12 @@ def _sparse_hit(d: DomainIndex, axiom: str, G: Correspondence, ks: np.ndarray,
     return _first_hit(runs, first, workers)
 
 
-def _default_hits(d: DomainIndex) -> dict[tuple[str, str], int]:
-    """``(default name, axiom) -> hit`` of the symmetric defaults swept on
-    ``d``, kept with the domain so the tables over one default share it."""
-    return {}
-
-
 def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple[str, int]:
     """The smallest profile flagged for ``axiom`` under ``G``, or -1, and the
-    path that found it: ``quotient`` (a symmetric rule on the orbit
-    minima), ``overrides`` (a passing symmetric default, then the profiles
-    its overrides touch) or ``dense`` (every profile, block by block).
-    ``axiom`` is a row of ``_EDGES`` or ``_UNARY``, so also
+    path that found it: ``quotient`` (a symmetric rule on the orbit minima),
+    ``overrides`` (the profiles the overrides touch, once a symmetric default
+    passes on the minima, swept on every call) or ``dense`` (every profile,
+    block by block).  ``axiom`` is a row of ``_EDGES`` or ``_UNARY``, so also
     ``equals-pareto``: -1 then says that ``G`` chooses the undominated set at
     every profile.  A dense ``_UNARY`` row reads each block's values alone
     (:meth:`Correspondence.block_values`), so it builds no whole-domain
@@ -222,14 +216,10 @@ def _sweep(axiom: str, G: Correspondence, d: DomainIndex, workers: int) -> tuple
     moves = d.memo(_EDGES[axiom][0]) if axiom in _EDGES else ()
     D = None if axiom in _SYMMETRIES else _symmetric_default(G)
     if D is not None:
+        hit = _sparse_hit(d, axiom, D, d.orbit_minima, workers)
         if D is G:
-            return "quotient", _sparse_hit(d, axiom, G, d.orbit_minima, workers)
-        # the default's verdict holds for every table over it on this domain
-        hits = d.memo(_default_hits)
-        key = (G.default, axiom)
-        if key not in hits:
-            hits[key] = _sparse_hit(d, axiom, D, d.orbit_minima, workers)
-        if hits[key] < 0:
+            return "quotient", hit
+        if hit < 0:
             keys = G.override_index(d)[0]
             touched = np.sort(np.concatenate([keys, *(v for _, v, _, _ in _moves_at(d, moves, keys))]))
             touched = touched[np.diff(touched, prepend=-1) != 0]  # np.unique would import numpy.ma
@@ -435,15 +425,16 @@ def check_axiom(axiom: str, G: Correspondence, d: DomainIndex, *, workers: int =
     Axioms other than anonymity and neutrality take a sparse path when the
     rule's default D is in the catalog with claims of both.  D is checked on
     the smallest profile of each orbit of relabellings and reorderings, on
-    its fold evaluated there; without overrides that is the report.  When D
+    its fold evaluated there, by each check itself, so no report depends on
+    the checks before it; without overrides that is the report.  When D
     passes, the overrides are checked at their own profiles and at their
     moves' targets, where every violation then lies.  Every other check
     sweeps the whole domain, block by block: pareto and tops-in on each
     block's own values, folded there unless the rule's value table is
     already built, and the move axioms on the whole-domain value table,
-    since their moves leave the block.  All paths
-    find the same smallest violating profile, and all run their chunks on
-    ``workers`` threads, so the report is the same for any worker count.
+    since their moves leave the block.  All paths find the same smallest
+    violating profile, and all run their chunks on ``workers`` threads, so
+    the report is the same for any worker count.
 
     ``G`` must be a rule over ``d``'s labels and individuals; otherwise the
     ValueError names ``G``.  :func:`check_axiom_reference` is the

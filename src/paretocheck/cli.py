@@ -247,11 +247,15 @@ def _cmd_example(args) -> int:
 
 def _cmd_theorem(args) -> int:
     from .axioms import CONSISTENT_EQUAL, verify_theorem
+    from .rules import EXAMPLES
 
     m, n = args.m, args.n
     if not args.table:  # a table file gives its own sizes
         m = m if m is not None else THEOREM_M[args.k][0]
-        n = n if n is not None else 2
+        # n = 2, but an example whose n is fixed or free only from 3 takes its own
+        entry = EXAMPLES.get(args.rule)
+        if n is None and (entry is None or ("n" in entry.free and entry.least[1] <= 2)):
+            n = 2
     rule = _load_rule(args, m, n)
     d = DomainIndex(rule.m, rule.n, rule.universe.labels)
     _guard_domain(d, args.max_domain)

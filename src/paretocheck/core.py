@@ -457,7 +457,7 @@ class DomainIndex:
 
     def memo(self, build: Callable[["DomainIndex"], object]) -> object:
         """``build(self)``, computed on first use and kept with the domain
-        like the tables above (the move families of the axiom sweeps)."""
+        like the tables above: a fold or a move family, never a verdict."""
         kept = self.__dict__.setdefault("_memo", {})
         if build not in kept:
             kept[build] = build(self)
@@ -610,24 +610,25 @@ class DomainIndex:
         first individual one of whose orderings covers at most ``_CHUNK``
         profiles (read at call time), so a run of several of them fills a
         block.  Yields ``(lo, index)``: ``index`` holds one slice per
-        individual up to k, so ``grid[index]`` is the block with all n axes,
-        and ``lo`` is its first profile.
+        individual, the later ones ``slice(0, m!)``, so ``grid[index]`` is
+        the block, and ``lo`` is its first profile.
         """
         count, places = self.order_count, self.places
         k = next(i for i, size in enumerate(places) if size <= _CHUNK or i == self.n - 1)
         step = max(1, _CHUNK // places[k])
+        free = (slice(0, count),) * (self.n - 1 - k)
         for prefix in itertools.product(range(count), repeat=k):
             base = sum(o * size for o, size in zip(prefix, places))
             fixed = tuple(slice(o, o + 1) for o in prefix)
             for a in range(0, count, step):
-                yield base + a * places[k], fixed + (slice(a, min(a + step, count)),)
+                yield base + a * places[k], fixed + (slice(a, min(a + step, count)),) + free
 
     def on_axis(self, index: tuple[slice, ...], i: int, column: np.ndarray) -> np.ndarray:
         """Individual ``i``'s per-ordering ``column`` over the block at
         ``index``, shaped to broadcast along i's axis."""
         shape = [1] * self.n
         shape[i] = -1
-        return (column[index[i]] if i < len(index) else column).reshape(shape)
+        return column[index[i]].reshape(shape)
 
     def block_fold(self, index: tuple[slice, ...]) -> Callable[..., np.ndarray]:
         """The ``fold`` of :meth:`tabulate` over the block at ``index``."""

@@ -360,8 +360,7 @@ class Correspondence:
         self._check_domain(d)
         if self._table is not None:
             return self._table.reshape((d.order_count,) * d.n)[index]
-        out = np.empty([s.stop - s.start for s in index]
-                       + [d.order_count] * (d.n - len(index)), dtype=np.uint8)
+        out = np.empty([s.stop - s.start for s in index], dtype=np.uint8)
         out[...] = d.memo(self._fold)(d.block_fold(index))
         if self._overrides:
             keys, masks = self.override_index(d)

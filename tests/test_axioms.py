@@ -584,9 +584,10 @@ def test_override_split_matches_dense_and_reference(sizes, monkeypatch):
                 assert got[key + (G.name, axiom)] == want, (key, G.name, axiom)
 
 
-def test_tables_over_one_default_share_its_sweep(monkeypatch, random_table):
-    # a default's quotient sweep runs once per domain and axiom, however many
-    # tables lie over it; a symmetric rule with no overrides sweeps every time
+def test_tables_over_one_default_sweep_it_on_every_check(monkeypatch, random_table):
+    # each check sweeps the symmetric default on the orbit minima itself, then
+    # the overrides where it passes; the domain keeps no verdict, so a second
+    # round of checks makes the same sweeps again
     d = DomainIndex(3, 3)
     over_pareto = [random_table(d, seed) for seed in (1, 3)]
     over_tops = [Correspondence(d.universe, d.n, "tops", G.overrides) for G in over_pareto]
@@ -600,19 +601,19 @@ def test_tables_over_one_default_share_its_sweep(monkeypatch, random_table):
         calls.append(("table" if G.overrides else G.default, axiom))
         return sparse_hit(d, axiom, G, ks, workers)
     monkeypatch.setattr(axioms, "_sparse_hit", counting)
-    for G in over_pareto + over_tops:
-        for axiom in QUOTIENT_AXIOMS:
-            path = "overrides" if passes[G.default, axiom] else "dense"
-            assert axioms._sweep(axiom, G, d, 1)[0] == path, (G.name, axiom)
-    # each default once, and the overrides of both tables where it passes
-    assert sorted(calls) == sorted(list(passes) + [("table", a) for (_, a), ok in passes.items()
-                                                   if ok] * 2)
+    for _ in range(2):
+        for G in over_pareto + over_tops:
+            for axiom in QUOTIENT_AXIOMS:
+                ok = passes[G.default, axiom]
+                calls.clear()
+                assert axioms._sweep(axiom, G, d, 1)[0] == ("overrides" if ok else "dense")
+                assert calls == [(G.default, axiom)] + [("table", axiom)] * ok, (G.name, axiom)
     calls.clear()
     pareto = make_rule("pareto", 3, 3)
     for _ in range(2):
         assert axioms._sweep("balancedness", pareto, d, 1) == ("quotient", -1)
     assert calls == [("pareto", "balancedness")] * 2
-    # the kept verdicts give the reports of a domain that keeps none
+    # the reports on a domain that has swept before are a fresh domain's
     for G in over_pareto + over_tops:
         for axiom in QUOTIENT_AXIOMS:
             assert check_axiom(axiom, G, d) == check_axiom(axiom, G, DomainIndex(3, 3))
@@ -799,6 +800,34 @@ def test_domain_mismatch_names_the_rule(d33):
 def test_worker_count_below_one_rejected(workers, d33):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
         check_axiom("pareto", make_rule("pareto", 3, 3), d33, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("h", [0, 5, 40])
+def test_pooled_driver_pulls_two_chunks_per_worker_past_the_hit(workers, h):
+    # the driver keeps two chunks per worker in flight and never pulls the
+    # rest, whether chunk h hits or raises; the raise reaches the caller
+    pulled = 0
+
+    def chunks():
+        nonlocal pulled
+        for c in range(1000):
+            pulled += 1
+            yield c
+
+    def hit_at(c):
+        return c if c == h else -1
+    assert axioms._first_hit(chunks(), hit_at, workers) == h
+    assert pulled <= h + 2 * workers
+
+    def raise_at(c):
+        if c == h:
+            raise RuntimeError(f"chunk {c}")
+        return -1
+    pulled = 0
+    with pytest.raises(RuntimeError, match=f"chunk {h}$"):
+        axioms._first_hit(chunks(), raise_at, workers)
+    assert pulled <= h + 2 * workers
 
 
 def test_stability_outcomes_pairwise_distinct():

@@ -238,6 +238,25 @@ def test_theorem_json_shape(capsys):
     assert data["deviations"] == []
 
 
+@pytest.mark.parametrize("k, rule", [(1, "example:2"), (2, "example:4"), (2, "example:10"),
+                                     (3, "example:5"), (3, "example:5-orbit"),
+                                     (4, "example:9"), (4, "example:9-unrestricted")])
+def test_theorem_example_takes_its_own_n(k, rule, capsys):
+    # an example whose n is fixed, or free only from 3, runs at its own n
+    # rather than the default n = 2
+    code, out, err = run(capsys, "theorem", str(k), "--rule", rule)
+    assert (code, err) == (1, "")
+    assert run(capsys, "theorem", str(k), "--rule", rule, "--n", "3") == (1, out, "")
+
+
+@pytest.mark.parametrize("rule", ["example:3", "example:8", "pareto"])
+def test_theorem_other_rules_keep_n_two(rule, capsys):
+    # a catalog rule and an example free down to n = 2 take the default;
+    # example 8 is defined at n = 2
+    code, out, _ = run(capsys, "theorem", "4", "--rule", rule)
+    assert f"for {rule} at m=5, n=2: " in out
+
+
 @pytest.mark.parametrize("sizes, profile", [((6, 2), "abcdef|abcdef"), ((5, 3), "abcde|abcde|abcde")])
 def test_theorem_table_keeps_its_own_sizes(sizes, profile, tmp_path, capsys):
     # a table file gives m and n; the theorem's default sizes apply to --rule alone

@@ -191,6 +191,10 @@ def test_block_values_equal_the_value_table(chunk, monkeypatch, random_table):
         if chunk is not None and d.total > 5_000:  # thousands of blocks of a few profiles
             continue
         blocks = list(d.blocks())
+        # one slice per individual, and the blocks tile the domain in ascending order
+        assert all(len(index) == d.n for _, index in blocks), G.name
+        sizes = [int(np.prod([s.stop - s.start for s in index])) for _, index in blocks]
+        assert np.cumsum([0] + sizes).tolist() == [lo for lo, _ in blocks] + [d.total], G.name
         got = [G.block_values(d, lo, index) for lo, index in blocks]
         assert G._table is None, G.name
         grid = G.value_table(d).reshape((d.order_count,) * d.n)
