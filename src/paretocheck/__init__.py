@@ -4,12 +4,12 @@ strict-preference profiles, organized around the Pareto correspondence.
 The package namespace is lazy (PEP 562).  ``import paretocheck`` loads no
 submodule and not numpy; each name below is imported from its submodule on
 first access and then kept in the package namespace, so it is the same
-object as the submodule's.  ``paretocheck.DomainIndex`` loads ``core``,
-``paretocheck.make_rule`` loads ``core`` and ``rules``, and the axiom and
-theorem lists load ``edges``, the edge layer, which needs only ``core``.
-The search loads ``search``, on ``core`` and ``edges`` alone.  A checker
-or the theorem harness loads ``axioms``, on ``rules`` and ``edges``, and
-the height and gap measurements and the examples load ``analysis``.
+object as the submodule's.  ``paretocheck.DomainIndex`` and the axiom and
+theorem lists load ``core``, and ``paretocheck.make_rule`` loads ``core``
+and ``rules``.  The search loads ``search``, on ``core`` and ``edges``, the
+edge layer, alone.  A checker or the theorem harness loads ``axioms``, on
+``rules`` and ``edges``, and the height and gap measurements and the
+examples load ``analysis``.
 """
 
 import os
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "DomainIndex", "Ordering", "ParseError", "Profile",
+        "AXIOMS", "THEOREM_AXIOMS", "DomainIndex", "Ordering", "ParseError", "Profile",
         "TranspositionSite", "Universe", "apply_alternative_permutation",
         "apply_individual_permutation", "apply_transposition", "enumerate_orderings",
         "lower_one", "pareto_dominates", "parse_profile", "raise_one", "transposition_sites",
@@ -30,7 +30,6 @@ _EXPORTS = {
         "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "load_table", "make_rule",
         "pareto_set_by_elimination",
     ),
-    "edges": ("AXIOMS", "THEOREM_AXIOMS"),
     "search": ("Deviation", "perturbation_search"),
     "axioms": (
         "AxiomReport", "TheoremResult", "Witness", "axiom_matrix", "check_axiom",

@@ -15,6 +15,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import (
+    AXIOMS,
     DomainIndex,
     Profile,
     Record,
@@ -27,7 +28,6 @@ from .core import (
     undominated,
 )
 from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
-from .edges import AXIOMS
 from .axioms import check_axiom, replay_witness
 # benchmarks/workloads.py calls verify_theorem and perturbation_search from here
 from .axioms import verify_theorem

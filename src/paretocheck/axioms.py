@@ -37,7 +37,10 @@ import numpy as np
 
 from . import core
 from .core import (
+    AXIOMS,
     MAX_ALTERNATIVES,
+    THEOREM_AXIOMS,
+    THEOREM_M,
     DomainIndex,
     Profile,
     Record,
@@ -50,16 +53,7 @@ from .core import (
     raise_one,
     transposition_sites,
 )
-from .edges import (
-    AXIOMS,
-    THEOREM_AXIOMS,
-    THEOREM_M,
-    _EDGES,
-    _UNARY,
-    _Move,
-    _moves_at,
-    violation_mask,
-)
+from .edges import _EDGES, _UNARY, _Move, _moves_at, violation_mask
 from .rules import RULE_CATALOG, Correspondence
 
 #: The theorem harness's verdicts (see :func:`verify_theorem`).

@@ -6,12 +6,12 @@ matches, or the search finds nothing), 1 when a violation, mismatch, or
 deviation is found, 2 on usage or configuration errors, 3 on an internal
 error.
 
-Every command reads the axiom and theorem lists of ``edges``, and each
-imports the rest of what it runs, its module in ``_COMMANDS``, and nothing
-more: ``eval`` runs on ``rules``; ``check``, ``matrix`` and ``theorem`` on
-the checkers in ``axioms``, which import ``rules``; ``example`` on
-``analysis`` as well; and ``search`` on ``search`` alone, so it never loads
-``rules``, ``axioms`` or ``analysis``.
+Every command reads the axiom and theorem lists of ``core``, all that
+``--help`` loads, and imports the rest of what it runs, its module in
+``_COMMANDS``, and nothing more: ``eval`` runs on ``rules``; ``check``,
+``matrix`` and ``theorem`` on the checkers in ``axioms``, which import
+``rules`` and ``edges``; ``example`` on ``analysis`` as well; and ``search``
+on ``search`` alone, so it never loads ``rules``, ``axioms`` or ``analysis``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .core import DomainIndex, ParseError, parse_profile
-from .edges import AXIOMS, THEOREM_AXIOMS, THEOREM_M
+from .core import AXIOMS, THEOREM_AXIOMS, THEOREM_M, DomainIndex, ParseError, parse_profile
 
 if TYPE_CHECKING:
     import argparse
@@ -100,16 +99,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _names(text: str, kind: str, option: str) -> tuple[str, ...]:
+    """The comma-separated names of ``option``: none, or one given twice, is a usage error."""
+    names = tuple(a.strip() for a in text.split(",") if a.strip())
+    if not names:
+        raise ConfigError(f"no {kind}s given")
+    for i, a in enumerate(names):
+        if a in names[:i]:
+            raise ConfigError(f"the {kind} {a!r} is repeated in {option}")
+    return names
+
+
 def _parse_axioms(text: str) -> tuple[str, ...]:
     if text.strip() == "all":
         return AXIOMS
-    names = tuple(a.strip() for a in text.split(",") if a.strip())
+    names = _names(text, "axiom", "--axioms")
     unknown = [a for a in names if a not in AXIOMS]
     if unknown:
         raise ConfigError(f"unknown axioms: {', '.join(unknown)} "
                           f"(choose from {', '.join(AXIOMS)})")
-    if not names:
-        raise ConfigError("no axioms given")
     return names
 
 
@@ -201,10 +209,8 @@ def _cmd_matrix(args) -> int:
     from .axioms import axiom_matrix
     from .rules import RULE_CATALOG, make_rule
 
-    text = ",".join(RULE_CATALOG) if args.rules is None else args.rules
-    names = [r.strip() for r in text.split(",") if r.strip()]
-    if not names:
-        raise ConfigError("no rules given")
+    names = _names(",".join(RULE_CATALOG) if args.rules is None else args.rules,
+                   "rule", "--rules")
     axioms = _parse_axioms(args.axioms)
     d = DomainIndex(args.m, args.n)
     _guard_domain(d, args.max_domain)

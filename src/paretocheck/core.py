@@ -1,5 +1,6 @@
 """Core types for strict-preference domains: alternatives, orderings,
-profiles, profile moves, and dense indexing of the full profile domain.
+profiles, profile moves, and dense indexing of the full profile domain;
+and the axiom and theorem lists that every module works in.
 
 Alternatives are integers ``0..m-1`` with single-character display labels.
 An ordering is a tuple of alternatives from top (rank 1) to bottom (rank m);
@@ -31,6 +32,28 @@ MAX_ALTERNATIVES = 8
 MAX_INDIVIDUALS = 6
 
 _LABEL_POOL = "abcdefgh"
+
+AXIOMS: tuple[str, ...] = (
+    "pareto",             # no chosen alternative is Pareto-dominated
+    "tops-in",            # every individual's top alternative is chosen
+    "balancedness",       # i has x just above y, j has y just above x; both swap: same set
+    "monotonicity",       # raising a chosen x keeps x chosen and admits nothing new
+    "weak-monotonicity",  # raising a chosen x keeps x chosen
+    "strong-stability",   # lowering a chosen x just below y: at most one of drop x, add y
+    "anonymity",          # permuting the individuals: same set
+    "neutrality",         # relabelling the alternatives relabels the set
+)
+
+#: Axiom list per characterization level, keyed by theorem number.
+THEOREM_AXIOMS: dict[int, tuple[str, ...]] = {
+    1: ("pareto", "tops-in"),
+    2: ("pareto", "tops-in", "balancedness"),
+    3: ("pareto", "tops-in", "balancedness", "monotonicity"),
+    4: ("pareto", "tops-in", "balancedness", "weak-monotonicity", "strong-stability"),
+}
+
+#: The range of m each level concerns; the CLI's default m is its lower end.
+THEOREM_M: dict[int, tuple[int, int]] = {1: (2, 2), 2: (3, 3), 3: (4, 4), 4: (5, 8)}
 
 #: An ordering is a tuple of alternative indices, rank 1 first.
 Ordering = tuple[int, ...]
@@ -77,16 +100,14 @@ class Universe:
 
     @classmethod
     def of_size(cls, m: int, labels: str | None = None) -> "Universe":
-        """The universe of m alternatives over ``labels``, which must be m
-        labels long, or over the default labels when None: 'a' for
-        alternative 0, 'b' for 1, and so on."""
-        if labels is not None:
-            if len(labels) != m:
-                raise ValueError(f"labels {labels!r} do not match m={m}")
-            return cls(labels)
+        """The universe of m alternatives, held to the bound, over ``labels``,
+        which must be m labels long, or over the default labels when None:
+        'a' for alternative 0, 'b' for 1, and so on."""
         if not 2 <= m <= MAX_ALTERNATIVES:
             raise ValueError(f"supported sizes are 2..{MAX_ALTERNATIVES} alternatives, got {m}")
-        return cls(_LABEL_POOL[:m])
+        if labels is not None and len(labels) != m:
+            raise ValueError(f"labels {labels!r} do not match m={m}")
+        return cls(_LABEL_POOL[:m] if labels is None else labels)
 
     @property
     def m(self) -> int:
@@ -293,9 +314,7 @@ def raise_one(u: Profile, i: int, x: int) -> Profile:
     p = r.index(x)
     if p == 0:
         raise ValueError(f"{u.universe.label(x)} is already at the top for individual {i + 1}")
-    new = list(u.orderings)
-    new[i] = _swap_adjacent(r, p - 1)
-    return Profile(u.universe, tuple(new))
+    return lower_one(u, i, r[p - 1])
 
 
 def lower_one(u: Profile, i: int, x: int) -> Profile:
@@ -345,8 +364,7 @@ def permute_mask(mask: int, theta: Sequence[int]) -> int:
 
 def enumerate_orderings(m: int) -> tuple[Ordering, ...]:
     """All m! orderings of ``m`` alternatives, lexicographic by rank sequence."""
-    if not 2 <= m <= MAX_ALTERNATIVES:
-        raise ValueError(f"supported sizes are 2..{MAX_ALTERNATIVES} alternatives, got {m}")
+    Universe.of_size(m)  # holds m to the bound
     return tuple(itertools.permutations(range(m)))
 
 
@@ -363,11 +381,9 @@ class DomainIndex:
     """
 
     def __init__(self, m: int, n: int, labels: str | None = None):
-        if not 2 <= m <= MAX_ALTERNATIVES:
-            raise ValueError(f"supported sizes are 2..{MAX_ALTERNATIVES} alternatives, got {m}")
+        self.universe = Universe.of_size(m, labels)
         if not 2 <= n <= MAX_INDIVIDUALS:
             raise ValueError(f"supported sizes are 2..{MAX_INDIVIDUALS} individuals, got {n}")
-        self.universe = Universe.of_size(m, labels)
         self.m = m
         self.n = n
         self.order_count = math.factorial(m)
@@ -513,11 +529,8 @@ class DomainIndex:
     def profile(self, k: int) -> Profile:
         if not 0 <= k < self.total:
             raise ValueError(f"profile index {k} out of range [0, {self.total})")
-        digits = []
-        for _ in range(self.n):
-            k, o = divmod(k, self.order_count)
-            digits.append(o)
-        return Profile(self.universe, tuple(self.orderings[o] for o in reversed(digits)))
+        return Profile(self.universe, tuple(self.orderings[k // size % self.order_count]
+                                            for size in self.places))
 
     @cached_property
     def _ordering_text(self) -> tuple[str, ...]:

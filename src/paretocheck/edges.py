@@ -1,5 +1,5 @@
-"""The edge layer: the axiom and theorem lists, and each axiom's moves and
-predicate, written once for the sweeps of ``axioms`` and for the search.
+"""The edge layer: each axiom's moves and predicate, written once for the
+sweeps of ``axioms`` and for the search.
 
 Every axiom but pareto and tops-in is a move family plus an elementwise
 predicate ``bad(gu, gv, a, b)`` on the choice sets at a move's source u and
@@ -29,28 +29,6 @@ import numpy as np
 
 from . import core
 from .core import DomainIndex
-
-AXIOMS: tuple[str, ...] = (
-    "pareto",             # no chosen alternative is Pareto-dominated
-    "tops-in",            # every individual's top alternative is chosen
-    "balancedness",       # i has x just above y, j has y just above x; both swap: same set
-    "monotonicity",       # raising a chosen x keeps x chosen and admits nothing new
-    "weak-monotonicity",  # raising a chosen x keeps x chosen
-    "strong-stability",   # lowering a chosen x just below y: at most one of drop x, add y
-    "anonymity",          # permuting the individuals: same set
-    "neutrality",         # relabelling the alternatives relabels the set
-)
-
-#: Axiom list per characterization level, keyed by theorem number.
-THEOREM_AXIOMS: dict[int, tuple[str, ...]] = {
-    1: ("pareto", "tops-in"),
-    2: ("pareto", "tops-in", "balancedness"),
-    3: ("pareto", "tops-in", "balancedness", "monotonicity"),
-    4: ("pareto", "tops-in", "balancedness", "weak-monotonicity", "strong-stability"),
-}
-
-#: The range of m each level concerns; the CLI's default m is its lower end.
-THEOREM_M: dict[int, tuple[int, int]] = {1: (2, 2), 2: (3, 3), 3: (4, 4), 4: (5, 8)}
 
 
 class _Move(NamedTuple):
@@ -157,7 +135,7 @@ _EDGES: dict[str, tuple[Callable, Callable]] = {
 #: The unary conditions: a fold giving sets per profile, and a predicate
 #: ``bad(gu, sets)`` on the choice sets there.  A choice set must lie within
 #: the undominated set and contain the tops.  ``equals-pareto``, the theorems'
-#: closing comparison, is no axiom: it is kept out of ``AXIOMS``.
+#: closing comparison, is no axiom: the axiom list of ``core`` leaves it out.
 _UNARY: dict[str, tuple[Callable[[DomainIndex], core.Fold], Callable]] = {
     "pareto": (core.undominated, lambda gu, sets: gu & ~sets != 0),
     "tops-in": (core.top_choices, lambda gu, sets: sets & ~gu != 0),

@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    AXIOMS,
     DomainIndex,
     Fold,
     Ordering,
@@ -248,8 +249,7 @@ def _entry(name: str, passes: str, fails: str, default: str | None = None,
                             default or name, **fields)
 
 
-_ALL_BUT_PARETO = ("tops-in balancedness monotonicity weak-monotonicity strong-stability "
-                   "anonymity neutrality")
+_ALL_BUT_PARETO = " ".join(AXIOMS[1:])
 
 RULE_CATALOG: dict[str, RuleCatalogEntry] = {e.name: e for e in (
     _entry("pareto", "pareto " + _ALL_BUT_PARETO, ""),

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import DomainIndex, Record, parse_profile, top_choices, undominated
-from .edges import AXIOMS, violation_mask
+from .core import AXIOMS, DomainIndex, Record, parse_profile, top_choices, undominated
+from .edges import violation_mask
 
 if TYPE_CHECKING:
     from .rules import Correspondence

@@ -96,6 +96,44 @@ def test_check_unknown_rule_and_axiom(capsys):
     assert "niceness" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--rule", "pareto", "--axioms", ","], "no axioms given"),
+    (["check", "--m", "3"], "one of --rule or --table is required"),
+    (["eval", "--profile", "abc|abc"], "one of --rule or --table is required"),
+    (["matrix", "--rules", ","], "no rules given"),
+    (["check", "--table", "TABLE", "--n", "4"], "rule 'table' has n=3, got --n 4"),
+    (["eval", "--table", "TABLE", "--profile", "abc|abc"],
+     "rule 'table' has n=3, profile has 2 individuals"),
+    (["eval", "--table", "TABLE", "--profile", "xyz|xyz|xyz"],
+     "unknown alternative 'x' (universe 'abc') (at position 0)"),
+])
+def test_usage_errors_exit_2(argv, message, tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text('{"m": 3, "n": 3, "default": "pareto", "overrides": {}}')
+    code, out, err = run(capsys, *[str(table) if a == "TABLE" else a for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--rule", "pareto", "--m", "3", "--n", "2", "--axioms", "pareto,tops-in,pareto"],
+     "the axiom 'pareto' is repeated in --axioms"),
+    (["matrix", "--rules", "pareto", "--m", "3", "--n", "2", "--axioms", "pareto,pareto"],
+     "the axiom 'pareto' is repeated in --axioms"),
+    (["matrix", "--rules", "pareto,tops, pareto", "--m", "3", "--n", "2"],
+     "the rule 'pareto' is repeated in --rules"),
+    (["search", "--m", "3", "--n", "2", "--axioms", "pareto,tops-in,tops-in"],
+     "the axiom 'tops-in' is repeated in --axioms"),
+])
+def test_repeated_names_are_refused_before_any_domain(argv, message, monkeypatch, capsys):
+    # a repeated rule was one row of the JSON matrix but two of its table, and
+    # a repeated axiom was swept twice
+    def no_domain(*args):
+        raise AssertionError("a domain was built")
+    monkeypatch.setattr(cli, "DomainIndex", no_domain)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("text, field", [
     ("[1, 2]", "JSON object"),
     ('{"m": 3, "n": 2, "default": "pareto", "overrides": {"abc|abc": 5}}', "'abc|abc'"),
@@ -396,7 +434,7 @@ def test_closed_stdout_keeps_the_commands_exit_code():
 # every name the package exports, grouped by the module that defines it
 _EXPORTS = {
     "core": (
-        "DomainIndex", "Ordering", "ParseError", "Profile",
+        "AXIOMS", "THEOREM_AXIOMS", "DomainIndex", "Ordering", "ParseError", "Profile",
         "TranspositionSite", "Universe", "apply_alternative_permutation",
         "apply_individual_permutation", "apply_transposition", "enumerate_orderings",
         "lower_one", "pareto_dominates", "parse_profile", "raise_one", "transposition_sites",
@@ -405,7 +443,6 @@ _EXPORTS = {
         "Correspondence", "RULE_CATALOG", "RuleCatalogEntry", "load_table",
         "make_rule", "pareto_set_by_elimination",
     ),
-    "edges": ("AXIOMS", "THEOREM_AXIOMS"),
     "search": ("Deviation", "perturbation_search"),
     "axioms": (
         "AxiomReport", "TheoremResult", "Witness", "axiom_matrix", "check_axiom",
@@ -446,16 +483,17 @@ def test_namespace_keeps_every_name():
 def test_benchmark_names_resolve_where_it_reads_them():
     # benchmarks/workloads.py calls analysis.perturbation_search and
     # analysis.verify_theorem, and benchmarks/tracing.py wraps them by name in
-    # each module that holds them: one object each, loaded from its own module
-    from paretocheck import analysis, axioms, edges, search
+    # each module that holds them: one object each, loaded from its own module.
+    # The axiom and theorem lists are stated once, in core
+    from paretocheck import analysis, axioms, core, search
 
     assert paretocheck._MODULE_OF["perturbation_search"] == "search"
     assert paretocheck._MODULE_OF["verify_theorem"] == "axioms"
-    assert paretocheck._MODULE_OF["AXIOMS"] == paretocheck._MODULE_OF["THEOREM_AXIOMS"] == "edges"
+    assert paretocheck._MODULE_OF["AXIOMS"] == paretocheck._MODULE_OF["THEOREM_AXIOMS"] == "core"
     assert paretocheck.perturbation_search is search.perturbation_search is analysis.perturbation_search
     assert paretocheck.verify_theorem is axioms.verify_theorem is analysis.verify_theorem
-    assert paretocheck.AXIOMS is edges.AXIOMS is axioms.AXIOMS
-    assert paretocheck.THEOREM_AXIOMS is edges.THEOREM_AXIOMS is axioms.THEOREM_AXIOMS
+    assert paretocheck.AXIOMS is core.AXIOMS is axioms.AXIOMS
+    assert paretocheck.THEOREM_AXIOMS is core.THEOREM_AXIOMS is axioms.THEOREM_AXIOMS
 
 
 def test_namespace_rejects_unknown_names():
@@ -562,8 +600,9 @@ def test_fresh_process_loads_only_the_modules_it_runs():
     evaluated = _probe(_COMMAND_PROBE.format(argv=[
         "eval", "--rule", "borda", "--profile", "abc|bca|cab", "--format", "json"]))
     assert evaluated == {"code": 0, "late": [],
-                         "loaded": ["paretocheck.cli", "paretocheck.core", "paretocheck.edges",
-                                    "paretocheck.rules"]}
+                         "loaded": ["paretocheck.cli", "paretocheck.core", "paretocheck.rules"]}
+    helped = _probe(_COMMAND_PROBE.format(argv=["--help"]))
+    assert helped == {"code": 0, "late": [], "loaded": ["paretocheck.cli", "paretocheck.core"]}
     theorem = _probe(_COMMAND_PROBE.format(argv=["theorem", "2", "--rule", "pareto"]))
     assert theorem["code"] == 0 and theorem["late"] == []
 

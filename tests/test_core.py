@@ -102,10 +102,24 @@ def test_round_trip_sampled(m, n, data):
 
 
 def test_domain_size_caps():
-    with pytest.raises(ValueError):
-        DomainIndex(9, 2)
-    with pytest.raises(ValueError, match=r"2\.\.6 individuals, got 7"):
+    # the bound on m is checked once, in Universe, whichever way m is given
+    for make in (lambda: DomainIndex(9, 2), lambda: DomainIndex(9, 2, "abcdefghi"),
+                 lambda: DomainIndex(9, 7), lambda: enumerate_orderings(9),
+                 lambda: Universe.of_size(9), lambda: Universe("abcdefghi")):
+        with pytest.raises(ValueError, match=r"^supported sizes are 2\.\.8 alternatives, got 9$"):
+            make()
+    # out of range with labels of another length: the bound comes first
+    with pytest.raises(ValueError, match=r"^supported sizes are 2\.\.8 alternatives, got 1$"):
+        Universe.of_size(1, "ab")
+    with pytest.raises(ValueError, match=r"^labels 'abc' do not match m=4$"):
+        Universe.of_size(4, "abc")
+    with pytest.raises(ValueError, match=r"^supported sizes are 2\.\.6 individuals, got 7$"):
         DomainIndex(3, 7)
+    with pytest.raises(ValueError, match=r"^alternative labels must be distinct: 'aab'$"):
+        Universe("aab")
+    with pytest.raises(ParseError, match=r"^supported sizes are 2\.\.8 alternatives, "
+                                         r"got 9 \(at position 0\)$"):
+        parse_profile("abcdefghi|ihgfedcba")
 
 
 def test_whole_domain_table_rejects_index_overflow():

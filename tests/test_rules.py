@@ -507,6 +507,16 @@ def test_table_validation_errors():
         load_table({"m": 3, "n": 2, "default": "pareto", "overrides": {"xyz|xyz|xyz": ["x"]}})
     with pytest.raises(ValueError):
         load_table({"m": 3, "n": 2, "default": "pareto", "overrides": {"xyz|zyx": []}})
+    with pytest.raises(ValueError, match=r"^alternative labels must be distinct: 'aab'$"):
+        load_table({"m": 3, "n": 2, "default": "pareto", "labels": "aab"})
+    with pytest.raises(ValueError, match=r"^supported sizes are 2\.\.8 alternatives, got 1$"):
+        load_table({"m": 1, "n": 2, "default": "pareto", "labels": "ab"})
+    with pytest.raises(ValueError, match=r"^rule 'example:5' uses universe 'xyzw', not 'abcd'$"):
+        load_table({"m": 4, "n": 3, "default": "example:5", "labels": "abcd"})
+    with pytest.raises(ValueError, match=r"^rule 'pareto' needs explicit sizes m and n$"):
+        make_rule("pareto")
+    with pytest.raises(ValueError, match=r"^override profile has 2 individuals, expected 3$"):
+        Correspondence(core.Universe("abc"), 3, "pareto", {((0, 1, 2), (2, 1, 0)): 1})
 
 
 def test_drop_rule_name_resolvable():
