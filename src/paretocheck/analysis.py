@@ -8,6 +8,7 @@ Both are importable from here as well, where the benchmark calls them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterator
@@ -27,7 +28,7 @@ from .core import (
     top_choices,
     undominated,
 )
-from .rules import EXAMPLES, Correspondence, RuleCatalogEntry, make_rule, pareto_mask
+from .rules import Correspondence, RuleCatalogEntry, example_entries, make_rule, pareto_mask
 from .axioms import check_axiom, replay_witness
 # benchmarks/workloads.py calls verify_theorem and perturbation_search from here
 from .axioms import verify_theorem
@@ -81,20 +82,17 @@ def height(G: Correspondence, d: DomainIndex, *, witness_cap: int = 16) -> Heigh
     if not count:
         return HeightResult(None, 0, ())
 
-    witnesses: list[HeightWitness] = []
-    for lo, bad, reach in blocks():
-        for off in np.flatnonzero(reach == best):
-            k = lo + int(off)
-            u = d.profile(k)
-            mask = int(bad[off])
-            for i in range(d.n):
-                w = u.orderings[i][best - 1]
-                if mask >> w & 1:
-                    witnesses.append(HeightWitness(str(u), best, i + 1, d.universe.label(w)))
-                    break
-            if len(witnesses) >= witness_cap:
-                return HeightResult(best, count, tuple(witnesses))
-    return HeightResult(best, count, tuple(witnesses))
+    def witnesses() -> Iterator[HeightWitness]:
+        for lo, bad, reach in blocks():
+            for off in np.flatnonzero(reach == best):
+                u, mask = d.profile(lo + int(off)), int(bad[off])
+                for i, r in enumerate(u.orderings):
+                    if mask >> r[best - 1] & 1:
+                        yield HeightWitness(str(u), best, i + 1, d.universe.label(r[best - 1]))
+                        break
+
+    # a cap of k <= 0 lists none, and the blocks after the last one listed are not folded
+    return HeightResult(best, count, tuple(itertools.islice(witnesses(), max(witness_cap, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +104,8 @@ def gap(G: Correspondence, u: Profile, i: int, w: int) -> int:
     alternative above it in individual ``i``'s ordering."""
     if not 0 <= i < u.n:
         raise ValueError(f"no individual {i} in a profile of {u.n}")
+    if not 0 <= w < u.m:
+        raise ValueError(f"no alternative {w} in a universe of {u.m}")
     lbl = u.universe.label
     if not pareto_mask(u) >> w & 1:
         raise ValueError(f"gap undefined: {lbl(w)} is dominated at this profile")
@@ -146,23 +146,26 @@ def stability_descent_audit(G: Correspondence, d: DomainIndex, *,
                             profile_cap: int = 64) -> tuple[DescentStep, ...]:
     """Replay the gap-reduction move at every smallest-height profile.
 
-    For each profile at the minimal height with a positive gap, lower the
-    nearest chosen alternative just below its unchosen neighbour and record
+    For each of the first ``profile_cap`` profiles at the minimal height h,
+    each individual whose alternative w at rank h is undominated and
+    unchosen, and whose gap at w is positive, lower the nearest chosen
+    alternative x above w just below its unchosen neighbour a and record
     the outcome.  When the rule is strongly stable the outcome is one of the
     three allowed ones; outcomes that keep the moved alternative must shrink
     the gap by one, and dropped outcomes are flagged with the two side
     conditions instead of being asserted.
+
+    At h = 1 no step is recorded: w is then an individual's top, with no
+    alternative above it.  At h > 1 every individual's top is chosen, since
+    an unchosen top would be undominated and unchosen at rank 1, so every
+    gap finds a chosen alternative above w.
     """
     hr = height(G, d, witness_cap=profile_cap)
-    if hr.height is None:
+    if hr.height is None or hr.height == 1:
         return ()
-    h = hr.height
-    seen: set[str] = set()
+    h, lbl = hr.height, d.universe.label
     steps: list[DescentStep] = []
-    for witness in hr.witnesses:
-        if witness.profile in seen:
-            continue
-        seen.add(witness.profile)
+    for witness in hr.witnesses:  # one per profile
         u = parse_profile(witness.profile, d.universe)
         gu = G.choose_mask(u)
         bad = pareto_mask(u) & ~gu
@@ -171,20 +174,15 @@ def stability_descent_audit(G: Correspondence, d: DomainIndex, *,
             w = r[h - 1]
             if not bad >> w & 1:
                 continue
-            try:
-                g0 = gap(G, u, i, w)
-            except ValueError:
-                continue  # no chosen alternative above w for this individual
+            g0 = gap(G, u, i, w)
             if g0 == 0:
                 continue
-            px = next(q for q in range(h - 1 - 1, -1, -1) if gu >> r[q] & 1)
-            x = r[px]
-            a = r[px + 1]
+            x, a = r[h - 2 - g0], r[h - 1 - g0]  # x is at rank h - 1 - g0, a just below it
             u2 = lower_one(u, i, x)
             g2 = G.choose_mask(u2)
             if g2 == gu:
                 outcome = "unchanged"
-            elif not gu >> a & 1 and g2 == (gu | 1 << a):
+            elif g2 == gu | 1 << a:
                 outcome = "gained"
             elif g2 == gu & ~(1 << x):
                 outcome = "dropped"
@@ -198,7 +196,6 @@ def stability_descent_audit(G: Correspondence, d: DomainIndex, *,
             elif outcome == "dropped":
                 dominated_flag = not pareto_mask(u) >> a & 1
                 loses_flag = not pareto_mask(u2) >> x & 1
-            lbl = d.universe.label
             steps.append(DescentStep(str(u), i + 1, lbl(w), lbl(x), lbl(a),
                                      g0, outcome, gap_after, dominated_flag, loses_flag))
     return tuple(steps)
@@ -314,12 +311,9 @@ def reproduce_example(k: int, *, n: int | None = None, workers: int = 1) -> Exam
     """Rebuild example rule ``k`` (with its variants), confirm its declared
     deviation set and choice values, and confirm it fails exactly the axioms
     it is documented to fail while passing the documented rest."""
-    entries = [e for name, e in EXAMPLES.items() if name.split("-")[0] == f"example:{k}"]
-    if not entries:
-        raise ValueError(f"unknown example {k} (supported: 1..11)")
     checks: list[ExampleCheck] = []
     domains: dict[tuple[int, int, str], DomainIndex] = {}
-    for entry in entries:
+    for entry in example_entries(k):
         claim_m, claim_n = entry.claim_size
         G = make_rule(entry.name, claim_m, n if n is not None else claim_n)
         key = (G.m, G.n, G.universe.labels)

@@ -235,10 +235,10 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_example(args) -> int:
     from .analysis import reproduce_example
-    from .rules import EXAMPLES
+    from .rules import example_entries
 
     # example k's entries are reproduced at their claim sizes, or at --n when n is free
-    for entry in (e for name, e in EXAMPLES.items() if name.split("-")[0] == f"example:{args.k}"):
+    for entry in example_entries(args.k):
         m, n = entry.claim_size
         _guard_domain(DomainIndex(m, n if args.n is None or "n" not in entry.free else args.n),
                       args.max_domain)

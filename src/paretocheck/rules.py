@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -209,8 +210,8 @@ def _fold_drop_one(d: DomainIndex, t: int) -> Fold:
 # ---------------------------------------------------------------------------
 # Correspondences
 
-_DICTATOR_RE = re.compile(r"^dictator:(\d+)$")
-_DROP_RE = re.compile(r"^drop:(.)$")
+_DICTATOR_RE = re.compile(r"dictator:(0|[1-9][0-9]*)")  # one spelling per index: no leading zero
+_DROP_RE = re.compile(r"drop:(.)")
 
 
 @dataclass(frozen=True)
@@ -281,15 +282,19 @@ class Correspondence:
         self.universe = universe
         self.n = n
         self.default = default
-        self.overrides: dict[tuple[Ordering, ...], int] = dict(overrides or {})
-        self.name = name or (default if not self.overrides else f"table({default})")
         self._choose_base, self._fold, below = _resolve_base(default, universe, n)
-        full = universe.full_mask
-        for key, mask in self.overrides.items():
+        self.overrides: dict[tuple[Ordering, ...], int] = {}
+        for key, value in (overrides or {}).items():
             if len(key) != n:
                 raise ValueError(f"override profile has {len(key)} individuals, expected {n}")
-            if not 0 < mask <= full:
-                raise ValueError(f"override value must be a non-empty subset mask, got {mask}")
+            try:
+                mask = operator.index(value)  # an int, a bool or a numpy integer, as an int
+            except TypeError:
+                mask = 0  # refused below
+            if not 0 < mask <= universe.full_mask:
+                raise ValueError(f"override value must be a non-empty subset mask, got {value}")
+            self.overrides[key] = mask
+        self.name = name or (default if not self.overrides else f"table({default})")
         self._overrides = below | self.overrides if below else self.overrides
         self._table: np.ndarray | None = None
         self._override_at: tuple[np.ndarray, np.ndarray] | None = None
@@ -411,13 +416,13 @@ def _resolve_base(name: str, universe: Universe, n: int) -> tuple[
     }
     if name in simple:
         return (*simple[name], {})
-    match = _DICTATOR_RE.match(name)
+    match = _DICTATOR_RE.fullmatch(name)
     if match:
         i = int(match.group(1)) - 1
         if not 0 <= i < n:
             raise ValueError(f"rule {name!r} needs an individual in 1..{n}")
         return (lambda u: 1 << u.orderings[i][0]), (lambda d: _fold_dictator(d, i)), {}
-    match = _DROP_RE.match(name)
+    match = _DROP_RE.fullmatch(name)
     if match:
         t = universe.index(match.group(1))
         return (lambda u: _drop_one_mask(u, t)), (lambda d: _fold_drop_one(d, t)), {}
@@ -441,12 +446,12 @@ def make_rule(name: str, m: int | None = None, n: int | None = None,
     entry = None
     if name.startswith("example:"):
         entry = EXAMPLES.get(name)
-        k, dash, variant = name.removeprefix("example:").partition("-")
+        k, _, variant = name.removeprefix("example:").partition("-")
         if entry is None:
             if not k.isdecimal():
                 raise ValueError(f"unknown rule {name!r}")
-            raise ValueError(f"example {k} has no {variant!r} variant" if dash
-                             else f"unknown example {k} (supported: 1..11)")
+            example_entries(k)  # refuses an unknown k
+            raise ValueError(f"example {k} has no {variant!r} variant")
         sizes = []
         for axis, claim, given, least in zip("mn", entry.claim_size, (m, n), entry.least):
             size = given if given is not None else (3 if axis in entry.free else claim)
@@ -492,64 +497,44 @@ def tail_orderings_for_anchored_pair(universe: Universe) -> tuple[Ordering, ...]
     """The six orderings of x, y, z, t with x above y and z above t, and w
     appended at the bottom (universe 'xyzwt')."""
     x, y, z, w, t = range(5)
-    out = []
-    for perm in itertools.permutations((x, y, z, t)):
-        if perm.index(x) < perm.index(y) and perm.index(z) < perm.index(t):
-            out.append(perm + (w,))
-    return tuple(out)
+    return tuple(perm + (w,) for perm in itertools.permutations((x, y, z, t))
+                 if perm.index(x) < perm.index(y) and perm.index(z) < perm.index(t))
+
+
+def _anchored_pool(universe: Universe) -> tuple[Ordering, ...]:
+    """Example 9's eight orderings: the two anchors, then the six tail orderings."""
+    return (parse_profile("xywzt|ztwxy", universe).orderings
+            + tail_orderings_for_anchored_pair(universe))
 
 
 def restricted_pair_profiles(universe: Universe, n: int) -> tuple[tuple[Ordering, ...], ...]:
-    """Profiles built from the eight-ordering list in which each of the two
-    anchor orderings occurs exactly once and every other slot holds one of
-    the six tail orderings."""
-    anchor1, anchor2 = parse_profile("xywzt|ztwxy", universe).orderings
-    tails = tail_orderings_for_anchored_pair(universe)
-    profiles = []
-    for p1, p2 in itertools.permutations(range(n), 2):
-        rest = [i for i in range(n) if i not in (p1, p2)]
-        for combo in itertools.product(tails, repeat=len(rest)):
-            orderings: list[Ordering] = [()] * n
-            orderings[p1] = anchor1
-            orderings[p2] = anchor2
-            for slot, r in zip(rest, combo):
-                orderings[slot] = r
-            profiles.append(tuple(orderings))
-    return tuple(sorted(set(profiles)))
+    """The profiles of the anchored pool, sorted, in which each of the two
+    anchors occurs exactly once and every other slot holds a tail ordering."""
+    anchor1, anchor2, *_ = pool = _anchored_pool(universe)
+    return tuple(sorted(u for u in itertools.product(pool, repeat=n)
+                        if u.count(anchor1) == u.count(anchor2) == 1))
 
 
-# Override builders of the examples: ``build(universe, n)`` gives the
-# overrides, a map from ordering tuples to choice-set masks.
-
-
-def _choosing(chosen: str | None, *texts: str) -> Callable[[Universe, int], dict]:
-    """The labels ``chosen``, or the tops when None, at the profiles ``texts``."""
+def _on(profiles: Callable[[Universe, int], Iterable[tuple[Ordering, ...]]],
+        chosen: str | None = None) -> Callable[[Universe, int], dict]:
+    """An example's override builder: ``build(universe, n)`` maps each
+    profile of ``profiles(universe, n)``, an ordering tuple, to the mask of
+    the labels ``chosen``, or of the profile's tops when None."""
     def build(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
-        keys = [parse_profile(text, universe).orderings for text in texts]
-        return {key: universe.mask_from_labels(chosen) if chosen
-                else tops_mask(Profile(universe, key)) for key in keys}
+        keys = profiles(universe, n)  # parsed first: a label not in the universe is a ParseError
+        mask = universe.mask_from_labels(chosen) if chosen else None
+        return {key: mask or tops_mask(Profile(universe, key)) for key in keys}
     return build
 
 
-def _tops_on_orbit(text: str) -> Callable[[Universe, int], dict]:
-    """The tops on the symmetry orbit of the profile ``text``."""
-    def build(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
-        seed = parse_profile(text, universe).orderings
-        return {member: tops_mask(Profile(universe, member))
-                for member in symmetry_orbit(universe, seed)}
-    return build
+def _listed(*texts: str) -> Callable[[Universe, int], list]:
+    """The profiles ``texts``."""
+    return lambda universe, n: [parse_profile(text, universe).orderings for text in texts]
 
 
-def _xz_on_restricted_pairs(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
-    return dict.fromkeys(restricted_pair_profiles(universe, n), universe.mask_from_labels("xz"))
-
-
-def _tops_on_anchored_pairs(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
-    """The tops at every profile of the two anchor and six tail orderings."""
-    pool = (parse_profile("xywzt|ztwxy", universe).orderings
-            + tail_orderings_for_anchored_pair(universe))
-    return {combo: tops_mask(Profile(universe, combo))
-            for combo in itertools.product(pool, repeat=n)}
+def _orbit(text: str) -> Callable[[Universe, int], tuple]:
+    """The symmetry orbit of the profile ``text``."""
+    return lambda universe, n: symmetry_orbit(universe, parse_profile(text, universe).orderings)
 
 
 def _top_two_when_unanimous(universe: Universe, n: int) -> dict[tuple[Ordering, ...], int]:
@@ -564,13 +549,13 @@ EXAMPLES: dict[str, RuleCatalogEntry] = {e.name: e for e in (
     _entry("example:3", "pareto tops-in monotonicity weak-monotonicity anonymity neutrality",
            "balancedness strong-stability", "tops", least=(3, 0)),
     _entry("example:4", "pareto balancedness", "tops-in", "pareto", free="", labels="xyz",
-           overrides=_choosing("x", "xyz|yzx|zxy"), deviation="exact"),
+           overrides=_on(_listed("xyz|yzx|zxy"), "x"), deviation="exact"),
     _entry("example:5", "pareto tops-in balancedness", "monotonicity", "pareto",
            claim_size=(4, 3), free="", labels="xyzw",
-           overrides=_choosing(None, "xyzw|ywxz|zwxy"), deviation="exact"),
+           overrides=_on(_listed("xyzw|ywxz|zwxy")), deviation="exact"),
     _entry("example:5-orbit", "pareto tops-in balancedness anonymity neutrality",
            "monotonicity", "pareto", claim_size=(4, 3), free="", labels="xyzw",
-           overrides=_tops_on_orbit("xyzw|ywxz|zwxy"), deviation="exact"),
+           overrides=_on(_orbit("xyzw|ywxz|zwxy")), deviation="exact"),
     _entry("example:6", "pareto balancedness monotonicity", "tops-in", "drop:{drop}",
            claim_size=(4, 3), free="n", labels="xyzw", deviation="drop"),
     _entry("example:7", "pareto tops-in monotonicity", "balancedness", "tops",
@@ -578,25 +563,36 @@ EXAMPLES: dict[str, RuleCatalogEntry] = {e.name: e for e in (
     _entry("example:8",
            "pareto tops-in balancedness monotonicity weak-monotonicity anonymity",
            "strong-stability neutrality", "pareto", claim_size=(5, 2), free="",
-           labels="xyzwt", overrides=_choosing("xz", "xywzt|ztwxy", "ztwxy|xywzt"),
+           labels="xyzwt", overrides=_on(_listed("xywzt|ztwxy", "ztwxy|xywzt"), "xz"),
            deviation="exact"),
     _entry("example:8-neutral", "pareto tops-in balancedness monotonicity "
            "weak-monotonicity anonymity neutrality", "strong-stability", "pareto",
            claim_size=(5, 2), free="", labels="xyzwt",
-           overrides=_tops_on_orbit("xywzt|ztwxy"), deviation="exact"),
+           overrides=_on(_orbit("xywzt|ztwxy")), deviation="exact"),
     _entry("example:9",
            "pareto tops-in balancedness monotonicity weak-monotonicity anonymity",
            "strong-stability", "pareto", claim_size=(5, 3), free="n", least=(0, 3),
-           labels="xyzwt", overrides=_xz_on_restricted_pairs, deviation="exact"),
+           labels="xyzwt", overrides=_on(restricted_pair_profiles, "xz"), deviation="exact"),
     _entry("example:9-unrestricted", "pareto tops-in", "monotonicity", "pareto",
            claim_size=(5, 3), free="n", least=(0, 3), labels="xyzwt",
-           overrides=_tops_on_anchored_pairs, deviation="tops-diff"),
+           overrides=_on(lambda universe, n: itertools.product(_anchored_pool(universe), repeat=n)),
+           deviation="tops-diff"),
     _entry("example:10", "pareto tops-in monotonicity weak-monotonicity strong-stability",
            "balancedness", "pareto", free="", labels="abc",
-           overrides=_choosing("ac", "cba|acb|abc", "cba|cab|abc"), deviation="exact"),
+           overrides=_on(_listed("cba|acb|abc", "cba|cab|abc"), "ac"), deviation="exact"),
     _entry("example:11", _ALL_BUT_PARETO, "pareto", "pareto", claim_size=(3, 2),
            overrides=_top_two_when_unanimous, deviation="exact"),
 )}
+
+
+def example_entries(k: int | str) -> list[RuleCatalogEntry]:
+    """Example k's catalog entries, ``example:k`` and its variants
+    ``example:k-…``, in catalog order; an unknown k is refused."""
+    entries = [e for name, e in EXAMPLES.items()
+               if name == f"example:{k}" or name.startswith(f"example:{k}-")]
+    if not entries:
+        raise ValueError(f"unknown example {k} (supported: 1..11)")
+    return entries
 
 
 # ---------------------------------------------------------------------------

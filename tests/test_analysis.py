@@ -72,6 +72,12 @@ def test_height_and_example_reports_serialise_their_fields_in_order(d43xyzw):
                     for name, detail in checks) + "]}")
 
 
+@pytest.mark.parametrize("cap", [0, -3, 1])
+def test_height_lists_no_more_witnesses_than_its_cap(cap, d52paper):
+    result = height(make_rule("example:8"), d52paper, witness_cap=cap)
+    assert result.height == 3 and len(result.witnesses) == max(cap, 0)
+
+
 def test_height_example_8(d52paper):
     result = height(make_rule("example:8"), d52paper)
     assert result.height == 3
@@ -159,6 +165,9 @@ def test_gap_diagnostic_errors():
     u4 = parse_profile("xyz|yzx|zxy", ex4.universe)
     with pytest.raises(ValueError, match="above"):
         gap(ex4, u4, 1, ex4.universe.index("y"))  # y tops #2, nothing above
+    for w in (7, -1):
+        with pytest.raises(ValueError, match=rf"^no alternative {w} in a universe of 4$"):
+            gap(G, u, 0, w)
 
 
 # -- theorem harness ----------------------------------------------------------

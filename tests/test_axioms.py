@@ -207,6 +207,17 @@ def test_example_rule_witnesses_replay():
                 assert replay_witness(G, d, rep), (name, rep.summary())
 
 
+def test_replay_of_a_passing_report(d33):
+    # a pass replays only without a witness
+    from dataclasses import replace
+
+    G = make_rule("pareto", 3, 3)
+    rep = check_axiom("pareto", G, d33)
+    assert rep.passed and replay_witness(G, d33, rep)
+    witness = check_axiom("tops-in", make_rule("borda", 3, 3), d33).witness
+    assert not replay_witness(G, d33, replace(rep, witness=witness))
+
+
 def test_replay_rejects_tampered_witness(d33):
     from dataclasses import replace
 

@@ -106,6 +106,17 @@ def test_check_unknown_rule_and_axiom(capsys):
      "rule 'table' has n=3, profile has 2 individuals"),
     (["eval", "--table", "TABLE", "--profile", "xyz|xyz|xyz"],
      "unknown alternative 'x' (universe 'abc') (at position 0)"),
+    (["check", "--rule", "dictator:01", "--m", "3", "--n", "2"], "unknown rule 'dictator:01'"),
+    (["check", "--rule", "dictator:\u0661", "--m", "3", "--n", "2"],
+     "unknown rule 'dictator:\u0661'"),
+    (["matrix", "--rules", "dictator:1,dictator:01", "--m", "3", "--n", "2", "--axioms", "pareto"],
+     "unknown rule 'dictator:01'"),
+    (["check", "--rule", "dictator:0", "--m", "3", "--n", "2"],
+     "rule 'dictator:0' needs an individual in 1..2"),
+    (["check", "--rule", "dictator:3", "--m", "3", "--n", "2"],
+     "rule 'dictator:3' needs an individual in 1..2"),
+    (["eval", "--rule", "example:12-foo", "--profile", "abc|abc"],
+     "unknown example 12 (supported: 1..11)"),
 ])
 def test_usage_errors_exit_2(argv, message, tmp_path, capsys):
     table = tmp_path / "table.json"

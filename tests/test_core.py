@@ -506,6 +506,24 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda d: parse_profile("abc"), "profiles need at least 2 individuals (at position 3)"),
+    (lambda d: apply_transposition(parse_profile("abc|abc"), TranspositionSite(0, 1, 0, 0)),
+     "invalid site individuals (0, 0)"),
+    (lambda d: apply_transposition(parse_profile("abc|abc"), TranspositionSite(0, 1, 0, 2)),
+     "invalid site individuals (0, 2)"),
+    (lambda d: apply_transposition(parse_profile("abc|abc"), TranspositionSite(1, 0, 0, 1)),
+     "site invalid: b is not immediately above a for individual 1"),
+    (lambda d: d.index_orderings(((0, 1, 2),) * 4), "expected 2 orderings, got 4"),
+    (lambda d: d.ordering_index((0, 0, 1)), "not an ordering of this universe: (0, 0, 1)"),
+], ids=("one-individual", "site-0-0", "site-0-2", "not-a-site", "orderings-count",
+        "not-an-ordering"))
+def test_refusals_name_their_cause(call, message, d32):
+    with pytest.raises(ValueError) as info:
+        call(d32)
+    assert str(info.value) == message
+
+
 def test_profile_validation():
     uni = Universe("abc")
     with pytest.raises(ValueError):

@@ -357,6 +357,7 @@ def test_example_overrides_keep_their_own_labels():
     ("example:12", "unknown example 12 (supported: 1..11)"),
     ("example:4-orbit", "example 4 has no 'orbit' variant"),
     ("example:5-foo", "example 5 has no 'foo' variant"),
+    ("example:12-foo", "unknown example 12 (supported: 1..11)"),
     ("example:x", "unknown rule 'example:x'"),
 ])
 @pytest.mark.parametrize("sizes", [(), (3, 3)], ids=("no-sizes", "3x3"))
@@ -365,6 +366,22 @@ def test_unknown_example_names(name, error, sizes):
     # on whether sizes are given
     with pytest.raises(ValueError) as info:
         make_rule(name, *sizes)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("name, error", [
+    ("dictator:01", "unknown rule 'dictator:01'"),
+    ("dictator:007", "unknown rule 'dictator:007'"),
+    ("dictator:\u0661", "unknown rule 'dictator:\u0661'"),  # an Arabic-Indic one
+    ("dictator:1\n", "unknown rule 'dictator:1\\n'"),
+    ("drop:a\n", "unknown rule 'drop:a\\n'"),
+    ("dictator:0", "rule 'dictator:0' needs an individual in 1..2"),
+    ("dictator:3", "rule 'dictator:3' needs an individual in 1..2"),
+])
+def test_a_dictator_index_has_one_spelling(name, error):
+    # dictator:01 built individual 1's dictator under a second name
+    with pytest.raises(ValueError) as info:
+        make_rule(name, 3, 2)
     assert str(info.value) == error
 
 
@@ -517,6 +534,18 @@ def test_table_validation_errors():
         make_rule("pareto")
     with pytest.raises(ValueError, match=r"^override profile has 2 individuals, expected 3$"):
         Correspondence(core.Universe("abc"), 3, "pareto", {((0, 1, 2), (2, 1, 0)): 1})
+    # the value table would store 1 and choose_mask return 1.5
+    with pytest.raises(ValueError, match=r"^override value must be a non-empty subset mask, "
+                       r"got 1\.5$"):
+        Correspondence(core.Universe("abc"), 2, "pareto", {((0, 1, 2), (2, 1, 0)): 1.5})
+
+
+def test_override_masks_are_stored_as_ints():
+    key = ((0, 1, 2), (2, 1, 0))
+    for value in (np.uint8(5), np.int64(5), 5, True):
+        G = Correspondence(core.Universe("abc"), 2, "pareto", {key: value})
+        assert type(G.overrides[key]) is int and G.overrides[key] == value
+        assert G.choose(parse_profile("abc|cba", G.universe)) == G.universe.mask_text(int(value))
 
 
 def test_drop_rule_name_resolvable():
