@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, Sequence
 
 from .core import AXIOMS, THEOREM_AXIOMS, THEOREM_M, DomainIndex, ParseError, parse_profile
@@ -146,17 +147,32 @@ def _guard_domain(d: DomainIndex, cap: int) -> None:
         raise ConfigError(f"domain has {d.total} profiles, above the --max-domain cap {cap}")
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: str | Callable[[], str]) -> None:
+    """Print ``text``, or ``text()`` when it is a function, or with ``--format
+    json`` write the payload as ``json.dumps(payload, indent=2)`` would, key
+    by key.  An ordinary value is ``json.dumps(value, indent=2)``, indented
+    by two spaces.  A value that is an iterator is a list streamed item by
+    item, each item's text as ``json.dumps(item, indent=2)`` gives it, so
+    the output is never held whole."""
     try:
         if args.format == "json":
             import json
 
-            chunks = json.JSONEncoder(indent=2).iterencode(payload)  # written in runs, never whole
-            while run := "".join(itertools.islice(chunks, 1 << 14)):
-                sys.stdout.write(run)
-            sys.stdout.write("\n")
+            opened = "{"
+            for key, value in payload.items():
+                sys.stdout.write(f"{opened}\n  {json.dumps(key)}: ")
+                if isinstance(value, Iterator):
+                    start = "["
+                    for item in value:
+                        sys.stdout.write((start + "\n" + item).replace("\n", "\n    "))
+                        start = ","
+                    sys.stdout.write("[]" if start == "[" else "\n  ]")
+                else:
+                    sys.stdout.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+                opened = ","
+            sys.stdout.write("\n}\n")
         else:
-            print(text)
+            print(text() if callable(text) else text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: the command's exit code stands, and what
@@ -275,35 +291,61 @@ def _cmd_theorem(args) -> int:
     return 0 if result.verdict == CONSISTENT_EQUAL else 1
 
 
+def _search_json(d: DomainIndex, runs: Iterator[tuple]) -> Iterator[str]:
+    """The JSON text of each deviation of the runs, as
+    ``json.dumps(deviation.to_json(), indent=2)`` gives it, from the C string
+    encoder and joins; one run's profile texts are made at a time."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    sets = ["[\n      " + ",\n      ".join(map(quote, d.universe.mask_labels(s))) + "\n    ]"
+            for s in range(1 << d.m)]
+    for ks, masks in runs:
+        texts, size = list(map(quote, d.profile_texts(ks))), ks.shape[1]
+        for at, row in zip(range(0, len(texts), size), masks.tolist()):
+            yield ('{\n  "profiles": [\n    ' + ",\n    ".join(texts[at:at + size])
+                   + '\n  ],\n  "choice_sets": [\n    ' + ",\n    ".join([sets[s] for s in row])
+                   + "\n  ]\n}")
+
+
+def _search_table(d: DomainIndex, axioms: Sequence[str], runs: Iterator[tuple]) -> str:
+    """The count of deviations and the first 20, each by its first profile
+    and up to four of its choice sets."""
+    lines, count = [], 0
+    for ks, masks in runs:
+        room, size = 20 - len(lines), ks.shape[1]
+        more = " ..." if size > 4 else ""
+        for k, row in zip(ks[:room, 0].tolist(), masks[:room, :4].tolist()):
+            sets = ", ".join("{" + d.universe.mask_text(s) + "}" for s in row)
+            lines.append(f"  {d.profile_text(k)} -> {sets}{more} ({size} profile(s))")
+        count += len(ks)
+    if not count:
+        return f"no deviation within budget satisfies {{{', '.join(axioms)}}}"
+    if count > 20:
+        lines.append(f"  ... and {count - 20} more")
+    return "\n".join([f"{count} deviation(s) satisfy {{{', '.join(axioms)}}}", *lines])
+
+
 def _cmd_search(args) -> int:
-    from .search import perturbation_search
+    from .search import deviation_runs
 
     axioms = _parse_axioms(args.axioms)
     d = DomainIndex(args.m, args.n)
     _guard_domain(d, args.max_domain)
-    deviations = perturbation_search(d, axioms, mode=args.mode, budget=args.budget)
+    runs = deviation_runs(d, axioms, mode=args.mode, budget=args.budget)
+    first = next(runs, None)  # the verdict and the exit code come before the listing
+    runs = itertools.chain([] if first is None else [first], runs)
     payload = {
         "theorem": None,
-        "verdict": "deviations-found" if deviations else "none-found",
+        "verdict": "none-found" if first is None else "deviations-found",
         "failing_axiom": None,
-        "deviations": [dev.to_json() for dev in deviations],
+        "deviations": _search_json(d, runs),
         "m": args.m,
         "n": args.n,
         "axioms": list(axioms),
         "mode": args.mode,
     }
-    if deviations:
-        lines = [f"{len(deviations)} deviation(s) satisfy {{{', '.join(axioms)}}}"]
-        for dev in deviations[:20]:
-            sets = ", ".join("{" + "".join(cs) + "}" for cs in dev.choice_sets[:4])
-            more = " ..." if len(dev.profiles) > 4 else ""
-            lines.append(f"  {dev.profiles[0]} -> {sets}{more} ({len(dev.profiles)} profile(s))")
-        if len(deviations) > 20:
-            lines.append(f"  ... and {len(deviations) - 20} more")
-    else:
-        lines = [f"no deviation within budget satisfies {{{', '.join(axioms)}}}"]
-    _emit(args, payload, "\n".join(lines))
-    return 1 if deviations else 0
+    _emit(args, payload, lambda: _search_table(d, axioms, runs))
+    return 0 if first is None else 1
 
 
 #: Each command's handler, and the package module it runs with the modules

@@ -533,16 +533,25 @@ class DomainIndex:
                                             for size in self.places))
 
     @cached_property
-    def _ordering_text(self) -> tuple[str, ...]:
+    def _ordering_text(self) -> np.ndarray:
+        """(m!,) object: each ordering's labels as one string, rank 1 first."""
         labels = self.universe.labels
-        return tuple("".join(labels[x] for x in r) for r in self.orderings)
+        return np.array(["".join(labels[x] for x in r) for r in self.orderings], dtype=object)
+
+    def profile_texts(self, ks: Sequence[int] | np.ndarray) -> list[str]:
+        """``str(self.profile(k))`` for each profile index of ``ks``: the
+        individuals' ordering strings, gathered for all of ``ks`` at once,
+        joined with ``|``."""
+        ks = np.asarray(ks, dtype=np.int64).ravel()
+        bad = ks[(ks < 0) | (ks >= self.total)]
+        if len(bad):
+            raise ValueError(f"profile index {bad[0]} out of range [0, {self.total})")
+        rows = [self._ordering_text[self.digit(i, ks)].tolist() for i in range(self.n)]
+        return list(map("|".join, zip(*rows)))
 
     def profile_text(self, k: int) -> str:
-        """``str(self.profile(k))``, read off one label string per ordering."""
-        if not 0 <= k < self.total:
-            raise ValueError(f"profile index {k} out of range [0, {self.total})")
-        text = self._ordering_text
-        return "|".join(text[(k // size) % self.order_count] for size in self.places)
+        """``str(self.profile(k))``."""
+        return self.profile_texts([k])[0]
 
     def parse(self, text: str) -> Profile:
         u = parse_profile(text, self.universe)

@@ -1,5 +1,7 @@
 """The perturbation search for rules that differ from the undominated-set
-rule yet pass a given axiom list (:func:`perturbation_search`).
+rule yet pass a given axiom list (:func:`perturbation_search`).  Its
+deviations come from :func:`deviation_runs` as runs of index arrays, so a
+caller that writes them out holds one run's profile texts at a time.
 
 It reads the Pareto and tops sets from the folds of ``core``, relabels
 choice sets with ``DomainIndex.unrelabel_masks``, and checks each candidate
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +49,11 @@ class Deviation(Record):
 #: cells.  This bounds the search's working memory.
 _SEARCH_CELLS = 1 << 16
 
+#: Profiles per run of :func:`deviation_runs`, which bounds the text a
+#: listing holds at once.  Runs are capped by profiles, not by deviations,
+#: as an orbit-mode deviation lists up to m! * n! profiles.
+_RUN_PROFILES = 1 << 14
+
 
 def _is_candidate(tops: np.ndarray, pareto: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Whether each choice-set mask S is a search candidate, tops ⊆ S ⊊
@@ -67,13 +74,14 @@ def _single_cut(d: DomainIndex, budget: int) -> tuple[int, int] | None:
         fold = d.block_fold(index)
         pv, tv = pareto(fold).ravel(), tops(fold).ravel()
         sizes = count[pv & ~tv]
-        reach = np.cumsum(sizes, dtype=np.int64)
-        if reach[-1] >= left:
+        total = int(sizes.sum(dtype=np.int64))
+        if total >= left:  # the running sum is built for this block alone
+            reach = np.cumsum(sizes, dtype=np.int64)
             at = int(np.searchsorted(reach, left))  # the first profile reaching the cut
             rank = left - int(reach[at]) + int(sizes[at]) - 1
             masks = np.arange(1 << d.m, dtype=np.uint8)
             return lo + at, int(np.flatnonzero(_is_candidate(tv[at], pv[at], masks))[rank])
-        left -= int(reach[-1])
+        left -= total
     return None
 
 
@@ -88,25 +96,15 @@ def _orbit(d: DomainIndex, k: int) -> np.ndarray:
     return images[np.diff(images, prepend=-1) != 0]
 
 
-def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "single",
-                        budget: int = 1_000_000) -> list[Deviation]:
-    """Search for table correspondences that differ from the undominated-set
-    rule yet satisfy every requested axiom.
-
-    A candidate is a profile and a choice set S with tops ⊆ S ⊊ pareto
-    there, whatever axioms are asked for.  In single mode it overrides that
-    profile alone; candidates are ordered by profile, then by S, and the
-    result lists every accepted one among the first ``budget``, in that
-    order.  In orbit mode it overrides the profile's whole orbit under every
-    relabeling of the alternatives combined with every permutation of the
-    individuals, each image taking S relabeled; the profile is the smallest
-    index of its orbit, a candidate whose S is not well defined on the orbit
-    (some group element fixes the profile but moves S) is never accepted,
-    and the budget counts the first ``budget`` of these candidates, by
-    profile and then S, orbit-inconsistent ones included.  Either way the
-    result is deterministic.  Emptiness within budget is evidence at this
-    scale, not a proof.
-    """
+def deviation_runs(d: DomainIndex, axioms: Sequence[str], *, mode: str = "single",
+                   budget: int = 1_000_000) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The deviations of :func:`perturbation_search`, in its order, as runs
+    of two (deviations, profiles) arrays of one shape: the profile indices
+    each deviation overrides and its choice-set mask at each.  A run lists
+    at most ``_RUN_PROFILES`` profiles, or one deviation that has more, and
+    never none; a single-mode deviation has one profile, an orbit-mode one
+    its base's orbit.  The arguments are checked when the first run is asked
+    for."""
     bad = frozenset(axioms) - set(AXIOMS)
     if bad:
         raise ValueError(f"unknown axioms: {', '.join(sorted(bad))}")
@@ -173,24 +171,60 @@ def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "s
             found.setdefault(k, []).append(s)
         if left == 0:
             break
-    listed = []  # per accepted base: its orbit members and, per member, each accepted S relabelled
-    for k, accepted_sets in found.items():
+
+    def listing(k: int, accepted: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Base k's orbit members and, per member, each accepted S relabelled."""
         members = _orbit(d, k)
         if cut is not None:
             members = members[members <= cut[0]]  # no deviation past the cut is listed
-        thetas = d.canonical(members)[1]
-        listed.append((members, unrelabel[thetas[:, None], accepted_sets]))
-    labels = [d.universe.mask_labels(s) for s in range(1 << d.m)]
+        return members, unrelabel[d.canonical(members)[1][:, None], accepted]
+
     if mode == "orbit":
-        return [Deviation(tuple(d.profile_text(w) for w in members.tolist()),
-                          tuple(labels[s] for s in choices.tolist()))
-                for members, table in listed for choices in table.T]
-    if not listed:
-        return []
+        for k, accepted in found.items():
+            members, table = listing(k, accepted)
+            per = max(1, _RUN_PROFILES // len(members))
+            for j in range(0, len(accepted), per):
+                sets = table[:, j:j + per].T
+                yield np.broadcast_to(members, sets.shape), sets
+        return
+    if not found:
+        return
     # one key per deviation, profile << m | S, so one sort orders them by (profile, S)
     keys = np.sort(np.concatenate([(members[:, None] << d.m | table).ravel()
-                                   for members, table in listed]))
+                                   for members, table in itertools.starmap(listing, found.items())]))
     if cut is not None:
         keys = keys[keys <= cut[0] << d.m | cut[1]]
-    return [Deviation((d.profile_text(w),), (labels[s],))
-            for w, s in zip((keys >> d.m).tolist(), (keys & (1 << d.m) - 1).tolist())]
+    for j in range(0, len(keys), _RUN_PROFILES):
+        run = keys[j:j + _RUN_PROFILES, None]
+        yield run >> d.m, run & (1 << d.m) - 1
+
+
+def run_deviations(d: DomainIndex, ks: np.ndarray, sets: np.ndarray) -> list[Deviation]:
+    """The deviations of one run of :func:`deviation_runs`."""
+    texts, size = d.profile_texts(ks), ks.shape[1]
+    labels = [d.universe.mask_labels(s) for s in range(1 << d.m)]
+    return [Deviation(tuple(texts[at:at + size]), tuple(labels[s] for s in row))
+            for at, row in zip(range(0, len(texts), size), sets.tolist())]
+
+
+def perturbation_search(d: DomainIndex, axioms: Sequence[str], *, mode: str = "single",
+                        budget: int = 1_000_000) -> list[Deviation]:
+    """Search for table correspondences that differ from the undominated-set
+    rule yet satisfy every requested axiom.
+
+    A candidate is a profile and a choice set S with tops ⊆ S ⊊ pareto
+    there, whatever axioms are asked for.  In single mode it overrides that
+    profile alone; candidates are ordered by profile, then by S, and the
+    result lists every accepted one among the first ``budget``, in that
+    order.  In orbit mode it overrides the profile's whole orbit under every
+    relabeling of the alternatives combined with every permutation of the
+    individuals, each image taking S relabeled; the profile is the smallest
+    index of its orbit, a candidate whose S is not well defined on the orbit
+    (some group element fixes the profile but moves S) is never accepted,
+    and the budget counts the first ``budget`` of these candidates, by
+    profile and then S, orbit-inconsistent ones included.  Either way the
+    result is deterministic.  Emptiness within budget is evidence at this
+    scale, not a proof.
+    """
+    return [dev for ks, sets in deviation_runs(d, axioms, mode=mode, budget=budget)
+            for dev in run_deviations(d, ks, sets)]

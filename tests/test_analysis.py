@@ -512,6 +512,18 @@ def test_search_batches_leave_the_result_unchanged(sizes, axioms, monkeypatch):
     assert want[2] and want[5]  # both modes find deviations within the full budget
 
 
+@pytest.mark.parametrize("mode", ["single", "orbit"])
+def test_deviation_runs_hold_at_most_their_cap_of_profiles(mode, d52, monkeypatch):
+    # orbits of 120 and 240 profiles, some with three accepted sets
+    want = perturbation_search(d52, ("pareto", "tops-in"), mode=mode)
+    for cap in (1, 250, 1000):
+        monkeypatch.setattr(search, "_RUN_PROFILES", cap)
+        runs = list(search.deviation_runs(d52, ("pareto", "tops-in"), mode=mode))
+        assert all(ks.shape == sets.shape and len(ks) for ks, sets in runs)
+        assert all(ks.size <= cap or len(ks) == 1 for ks, _ in runs), cap
+        assert [dev for run in runs for dev in search.run_deviations(d52, *run)] == want
+
+
 def test_single_search_count_at_4_4():
     devs = perturbation_search(DomainIndex(4, 4), ("pareto", "tops-in", "balancedness"))
     assert len(devs) == 2472

@@ -1,4 +1,3 @@
-import argparse
 import importlib
 import json
 import os
@@ -9,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import paretocheck
-from paretocheck import cli, parse_profile
+from paretocheck import DomainIndex, cli, parse_profile, search
 from paretocheck.cli import main
 
 
@@ -366,23 +365,72 @@ def test_search_size_out_of_range(capsys, m):
     assert "2..8 alternatives" in err
 
 
+def _materialised_search(argv):
+    """A search command's payload, exit code and table text, formatted from
+    the list ``perturbation_search`` returns."""
+    args = cli.build_parser().parse_args(argv)
+    axioms = args.axioms.split(",")
+    devs = search.perturbation_search(DomainIndex(args.m, args.n), axioms,
+                                      mode=args.mode, budget=args.budget)
+    payload = {"theorem": None, "verdict": "deviations-found" if devs else "none-found",
+               "failing_axiom": None, "deviations": [dev.to_json() for dev in devs],
+               "m": args.m, "n": args.n, "axioms": axioms, "mode": args.mode}
+    if devs:
+        lines = [f"{len(devs)} deviation(s) satisfy {{{', '.join(axioms)}}}"]
+        for dev in devs[:20]:
+            sets = ", ".join("{" + "".join(cs) + "}" for cs in dev.choice_sets[:4])
+            more = " ..." if len(dev.profiles) > 4 else ""
+            lines.append(f"  {dev.profiles[0]} -> {sets}{more} ({len(dev.profiles)} profile(s))")
+        if len(devs) > 20:
+            lines.append(f"  ... and {len(devs) - 20} more")
+    else:
+        lines = [f"no deviation within budget satisfies {{{', '.join(axioms)}}}"]
+    return payload, 1 if devs else 0, "\n".join(lines) + "\n"
+
+
+_SEARCHES = {
+    "search": ("search", "--m", "4", "--n", "4", "--axioms", "pareto,tops-in,balancedness"),
+    "orbit": ("search", "--m", "5", "--n", "2", "--axioms", "pareto,tops-in", "--mode", "orbit"),
+    "empty": ("search", "--m", "3", "--n", "3", "--axioms", "pareto,tops-in,balancedness"),
+    "budget": ("search", "--m", "4", "--n", "3", "--axioms", "pareto,tops-in,balancedness",
+               "--budget", "500"),
+}
+
+
 @pytest.mark.parametrize("argv", [
-    pytest.param(("search", "--m", "4", "--n", "4", "--axioms", "pareto,tops-in,balancedness"),
-                 id="search"),
+    *(pytest.param(argv, id=name) for name, argv in _SEARCHES.items()),
+    pytest.param(("theorem", "4", "--rule", "borda"), id="theorem"),
+    pytest.param(("check", "--rule", "example:10"), id="check"),
     pytest.param(("matrix",), id="matrix"),
 ])
 def test_json_output_matches_json_dumps(argv, monkeypatch, capsys):
-    # the payload is written in runs of encoder chunks; the search's spans many runs
-    payloads = []
-    monkeypatch.setattr(cli, "_emit", lambda args, payload, text: payloads.append(payload))
-    main([*argv, "--format", "json"])
-    monkeypatch.undo()
-    (payload,) = payloads
+    # the payload is written key by key, and a search's deviations run by
+    # run: at 250 profiles a run, the (4,4) search writes 10 runs, and the
+    # orbit search's runs hold one deviation of 240 profiles or up to two of 120
     if argv[0] == "search":
-        assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload)) > 1 << 14
-    capsys.readouterr()
-    cli._emit(argparse.Namespace(format="json"), payload, "")
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        payload, want_code, _ = _materialised_search(argv)
+    else:
+        payloads, emit = [], cli._emit
+
+        def record(args, payload, text):
+            payloads.append(payload)
+            emit(args, payload, text)
+        monkeypatch.setattr(cli, "_emit", record)
+    monkeypatch.setattr(search, "_RUN_PROFILES", 250)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    if argv[0] != "search":
+        (payload,) = payloads
+        want_code = code
+    assert code == want_code
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["search", "orbit", "empty"])
+def test_search_table_matches_the_listed_deviations(name, monkeypatch, capsys):
+    # over 20 deviations of one profile each, over 20 of 120 or 240, and none
+    _, want_code, want_text = _materialised_search(_SEARCHES[name])
+    monkeypatch.setattr(search, "_RUN_PROFILES", 250)
+    assert run(capsys, *_SEARCHES[name])[:2] == (want_code, want_text)
 
 
 # -- determinism across worker counts ---------------------------------------------

@@ -454,10 +454,15 @@ def test_canonical_matches_object_level_pivots(sizes):
 @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (4, 2)])
 def test_profile_text_matches_profile(sizes):
     d = DomainIndex(*sizes, labels="xyzw"[:sizes[0]])
-    assert [d.profile_text(k) for k in range(d.total)] == [str(d.profile(k)) for k in range(d.total)]
+    want = [str(d.profile(k)) for k in range(d.total)]
+    assert [d.profile_text(k) for k in range(d.total)] == want
+    assert d.profile_texts(np.arange(d.total)[::-1]) == want[::-1]
+    assert d.profile_texts(np.zeros(0, dtype=np.int64)) == d.profile_texts([]) == []
     for k in (-1, d.total):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=f"profile index {k} out of range"):
             d.profile_text(k)
+        with pytest.raises(ValueError, match=f"profile index {k} out of range"):
+            d.profile_texts([0, k, 1])
 
 
 def test_permutation_size_mismatch():
